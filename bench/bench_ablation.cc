@@ -12,7 +12,7 @@
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_util.h"
-#include "core/path_query.h"
+#include "query/xpath.h"
 #include "xml/parser.h"
 
 namespace lazyxml {
@@ -167,24 +167,26 @@ BENCHMARK(BM_QueryAfterCompaction)
     ->ArgsProduct({{1000, 3000}, {0, 1}})
     ->Unit(benchmark::kMillisecond);
 
-// --- 5. path evaluation strategy: join pipeline vs holistic PathStack ----
+// --- 5. path evaluation strategy: semi-join evaluator vs holistic PathStack
 
 void BM_PathStrategy(benchmark::State& state) {
   const auto& plan = PlanFor(20, ErTreeShape::kBalanced);
   auto db = bench::BuildDatabase(plan.insertions, LogMode::kLazyDynamic);
   // seg//A//D: a three-step path over the workload's tags.
   const char* expr = "seg//A//D";
+  const std::vector<XPathStep> steps =
+      ParseQuery(QuerySyntax::kPath, expr).ValueOrDie();
   const bool holistic = state.range(0) != 0;
   size_t n = 0;
   for (auto _ : state) {
     if (holistic) {
-      auto r = EvaluatePathHolistic(db.get(), expr);
+      auto r = EvaluatePathHolistic(db.get(), steps);
       LAZYXML_CHECK(r.ok());
       n = r.ValueOrDie().size();
     } else {
-      auto r = EvaluatePath(db.get(), expr);
+      auto r = EvaluateQuery(db.get(), QuerySyntax::kPath, expr);
       LAZYXML_CHECK(r.ok());
-      n = r.ValueOrDie().elements.size();
+      n = r.ValueOrDie().refs.size();
     }
     benchmark::DoNotOptimize(n);
   }

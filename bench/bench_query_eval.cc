@@ -1,0 +1,171 @@
+// Query evaluation, layer by layer below the server.
+//
+//  * BM_Template/<i>: one PATH, TWIG or XPATH template of the perfbench
+//    `xmark-read` workload, evaluated single-threaded through the library
+//    (EvaluateQuery, the server's entry point) on that workload's corpus
+//    shape: XMark with 8000 persons (seed 3) chopped into 1000 balanced
+//    segments, default query options (path summary on). No server, lock
+//    or writer. The label names the template.
+//  * BM_GlobalConvert/<children>/<batched>: converting every element of a
+//    1000-element segment with `children` child segments spliced between
+//    its elements to global offsets — batched (GlobalConverter, two binary
+//    searches per offset) vs the linear walk (SegmentNode::FrozenToGlobal).
+//    The `per_elem` counter is the time per converted element.
+
+#include <memory>
+#include <string>
+#include <vector>
+
+#include <benchmark/benchmark.h>
+
+#include "bench/bench_util.h"
+#include "core/global_converter.h"
+#include "query/xpath.h"
+#include "xmlgen/chopper.h"
+#include "xmlgen/xmark_generator.h"
+
+namespace lazyxml {
+namespace {
+
+struct Template {
+  QuerySyntax syntax;
+  const char* verb;
+  const char* expr;
+};
+
+// perfbench/src/workload.cc XMarkQueries(), in order.
+const std::vector<Template>& Templates() {
+  static const std::vector<Template> kTemplates = {
+      {QuerySyntax::kPath, "PATH", "person//phone"},
+      {QuerySyntax::kPath, "PATH", "profile//interest"},
+      {QuerySyntax::kPath, "PATH", "watches//watch"},
+      {QuerySyntax::kPath, "PATH", "person//watch"},
+      {QuerySyntax::kPath, "PATH", "person//interest"},
+      {QuerySyntax::kPath, "PATH", "person/address/city"},
+      {QuerySyntax::kPath, "PATH", "people/person/name"},
+      {QuerySyntax::kPath, "PATH", "open_auction/bidder/personref"},
+      {QuerySyntax::kPath, "PATH", "closed_auction/price"},
+      {QuerySyntax::kPath, "PATH", "person/profile/age"},
+      {QuerySyntax::kTwig, "TWIG", "person[profile]//interest"},
+      {QuerySyntax::kTwig, "TWIG", "person[watches]/phone"},
+      {QuerySyntax::kTwig, "TWIG", "open_auction[bidder]/seller"},
+      {QuerySyntax::kTwig, "TWIG", "item[incategory]/location"},
+      {QuerySyntax::kTwig, "TWIG", "person[address[zipcode]]/emailaddress"},
+      {QuerySyntax::kXPath, "XPATH", "//closed_auction[buyer]/price"},
+      {QuerySyntax::kXPath, "XPATH", "//open_auction[bidder/personref]/seller"},
+      {QuerySyntax::kXPath, "XPATH", "//regions/*/item[incategory]/location"},
+      {QuerySyntax::kXPath, "XPATH", "//category[description/text]/name"},
+      {QuerySyntax::kXPath, "XPATH", "//open_auction/*/personref"},
+      {QuerySyntax::kXPath, "XPATH", "//closed_auction[buyer]/itemref"},
+      {QuerySyntax::kXPath, "XPATH", "//phone//person"},
+      {QuerySyntax::kXPath, "XPATH", "//interest//watch"},
+      {QuerySyntax::kXPath, "XPATH", "//watch/name"},
+      {QuerySyntax::kXPath, "XPATH", "//address//profile"},
+      {QuerySyntax::kXPath, "XPATH", "//item//person"},
+  };
+  return kTemplates;
+}
+
+/// The xmark-read corpus (perfbench/src/workload.cc XMarkShape +
+/// ChoppedCorpus), built once.
+LazyDatabase* Corpus() {
+  static LazyDatabase* db = [] {
+    XMarkConfig cfg;
+    cfg.seed = 3;
+    cfg.num_persons = 8000;
+    cfg.num_items = cfg.num_persons / 5;
+    cfg.num_open_auctions = cfg.num_persons / 4;
+    cfg.num_closed_auctions = cfg.num_persons / 8;
+    cfg.profile_probability = 1.0;
+    cfg.watches_probability = 1.0;
+    cfg.min_phones = 1;
+    cfg.max_phones = 4;
+    cfg.min_interests = 1;
+    cfg.max_interests = 6;
+    cfg.min_watches = 1;
+    cfg.max_watches = 8;
+    auto doc = XMarkGenerator(cfg).Generate();
+    LAZYXML_CHECK(doc.ok());
+    ChopConfig chop;
+    chop.num_segments = 1000;
+    chop.shape = ErTreeShape::kBalanced;
+    auto plan = BuildChopPlan(doc.ValueOrDie(), chop);
+    LAZYXML_CHECK(plan.ok());
+    return bench::BuildDatabase(plan.ValueOrDie().insertions,
+                                LogMode::kLazyDynamic)
+        .release();
+  }();
+  return db;
+}
+
+void BM_Template(benchmark::State& state) {
+  const Template& t = Templates()[static_cast<size_t>(state.range(0))];
+  LazyDatabase* db = Corpus();
+  XPathResult last;
+  for (auto _ : state) {
+    auto r = EvaluateQuery(db, t.syntax, t.expr);
+    LAZYXML_CHECK(r.ok());
+    last = std::move(r).ValueOrDie();
+    benchmark::DoNotOptimize(last.refs.data());
+  }
+  state.counters["results"] = static_cast<double>(last.refs.size());
+  state.counters["joins"] = static_cast<double>(last.joins_executed);
+  state.counters["pairs"] = static_cast<double>(last.intermediate_pairs);
+  state.SetLabel(std::string(t.verb) + " " + t.expr);
+}
+BENCHMARK(BM_Template)
+    ->DenseRange(0, 25)
+    ->Unit(benchmark::kMicrosecond);
+
+/// One segment of 1000 <e/> elements with `children` child segments
+/// spliced between them, evenly spaced.
+std::unique_ptr<LazyDatabase> StarSegment(int children) {
+  constexpr int kElements = 1000;
+  std::string doc = "<r>";
+  for (int i = 0; i < kElements; ++i) doc += "<e/>";
+  doc += "</r>";
+  auto db = std::make_unique<LazyDatabase>();
+  LAZYXML_CHECK(db->InsertSegment(doc, 0).ok());
+  // Insert back to front so earlier splice offsets stay valid.
+  for (int c = children; c >= 1; --c) {
+    const uint64_t slot = static_cast<uint64_t>(c) * kElements / (children + 1);
+    LAZYXML_CHECK(db->InsertSegment("<c/>", 3 + 4 * slot).ok());
+  }
+  return db;
+}
+
+void BM_GlobalConvert(benchmark::State& state) {
+  const int children = static_cast<int>(state.range(0));
+  const bool batched = state.range(1) != 0;
+  auto db = StarSegment(children);
+  const SegmentNode* top = db->update_log().root()->children[0];
+  LAZYXML_CHECK(top->children.size() == static_cast<size_t>(children));
+  const std::vector<LocalElement> elems = db->element_index().GetElements(
+      db->tag_dict().Lookup("e").ValueOrDie(), top->sid);
+  uint64_t sum = 0;
+  for (auto _ : state) {
+    if (batched) {
+      GlobalConverter conv;  // per call, as in a query
+      for (const LocalElement& e : elems) sum += conv.ToGlobal(*top, e).end;
+    } else {
+      for (const LocalElement& e : elems) {
+        sum += top->FrozenToGlobal(e.start, true) +
+               top->FrozenToGlobal(e.end, false);
+      }
+    }
+    benchmark::DoNotOptimize(sum);
+  }
+  state.counters["per_elem"] = benchmark::Counter(
+      static_cast<double>(elems.size()),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+  state.SetLabel(batched ? "batched" : "linear");
+}
+BENCHMARK(BM_GlobalConvert)
+    ->ArgsProduct({{10, 100, 999}, {1, 0}})
+    ->Unit(benchmark::kMicrosecond);
+
+}  // namespace
+}  // namespace lazyxml
+
+BENCHMARK_MAIN();

@@ -14,8 +14,8 @@
 #include "common/strings.h"
 #include "common/timer.h"
 #include "core/lazy_database.h"
-#include "core/path_query.h"
 #include "join/stack_tree.h"
+#include "query/xpath.h"
 #include "xmlgen/chopper.h"
 #include "xmlgen/xmark_generator.h"
 
@@ -108,16 +108,17 @@ int main(int argc, char** argv) {
                 agree ? "yes" : "NO");
   }
 
-  // Multi-step path expressions: Lazy-Join pipeline vs holistic PathStack.
+  // Multi-step path expressions: Lazy-Join semi-joins vs holistic PathStack.
   std::printf("\npath expressions (pipeline vs holistic):\n");
   for (const char* expr : {"person//profile//interest",
                            "people/person/watches/watch",
                            "site//person/phone"}) {
     Stopwatch pipe_sw;
-    auto pipe = EvaluatePath(&db, expr);
+    auto pipe = EvaluateQuery(&db, QuerySyntax::kPath, expr);
     const double pipe_ms = pipe_sw.ElapsedMillis();
     Stopwatch hol_sw;
-    auto hol = EvaluatePathHolistic(&db, expr);
+    auto hol = EvaluatePathHolistic(
+        &db, ParseQuery(QuerySyntax::kPath, expr).ValueOrDie());
     const double hol_ms = hol_sw.ElapsedMillis();
     if (!pipe.ok() || !hol.ok()) {
       std::fprintf(stderr, "path %s failed\n", expr);
@@ -125,8 +126,8 @@ int main(int argc, char** argv) {
     }
     std::printf("  %-32s %8zu matches  pipeline %8.3f ms  holistic %8.3f ms"
                 "  %s\n",
-                expr, pipe.ValueOrDie().elements.size(), pipe_ms, hol_ms,
-                pipe.ValueOrDie().elements.size() ==
+                expr, pipe.ValueOrDie().refs.size(), pipe_ms, hol_ms,
+                pipe.ValueOrDie().refs.size() ==
                         hol.ValueOrDie().size()
                     ? "agree"
                     : "DISAGREE");

@@ -38,9 +38,7 @@
 #include "common/strings.h"
 #include "common/ticket_rwlock.h"
 #include "core/lazy_database.h"
-#include "core/path_query.h"
 #include "core/read_view.h"
-#include "core/twig_query.h"
 #include "query/xpath.h"
 
 namespace lazyxml {
@@ -220,20 +218,14 @@ class ConcurrentLazyDatabase {
         [&](LazyDatabase& db) { return db.JoinGlobal(anc, desc, options); });
   }
 
-  Result<PathQueryResult> Path(std::string_view expr) {
-    return ReadQuery([&](LazyDatabase& db) { return EvaluatePath(&db, expr); });
-  }
-
-  Result<TwigQueryResult> Twig(std::string_view expr) {
-    return ReadQuery([&](LazyDatabase& db) { return EvaluateTwig(&db, expr); });
-  }
-
-  /// XPath-subset query (query/xpath.h). The evaluator only CONSULTS
-  /// the epoch-gated path summary (it never rebuilds one), so the
-  /// shared-lock path is race-free; callers must link lazyxml_query.
-  Result<XPathResult> Xpath(std::string_view expr) {
+  /// Structural query in any of the three syntaxes (query/xpath.h). The
+  /// evaluator only CONSULTS the epoch-gated path summary (it never
+  /// rebuilds one), so the shared-lock path is race-free; callers must
+  /// link lazyxml_query.
+  Result<XPathResult> Xpath(std::string_view expr,
+                            QuerySyntax syntax = QuerySyntax::kXPath) {
     return ReadQuery(
-        [&](LazyDatabase& db) { return EvaluateXPath(&db, expr); });
+        [&](LazyDatabase& db) { return EvaluateQuery(&db, syntax, expr); });
   }
 
   /// Pins the current state and returns a snapshot-isolated ReadView

@@ -5,8 +5,10 @@
 
 #include "check/database_check.h"
 #include "common/strings.h"
+#include "core/global_converter.h"
 #include "obs/trace.h"
 #include "xml/parser.h"
+#include "xmlgen/join_workload.h"
 
 namespace lazyxml {
 
@@ -555,16 +557,18 @@ Result<SegmentId> LazyDatabase::CollapseSubtree(SegmentId sid) {
   std::vector<NewRecord> records;
   std::vector<std::pair<SegmentId, std::vector<TagId>>> old_segments;
   std::vector<SegmentNode*> work{top};
+  GlobalConverter conv;
   while (!work.empty()) {
     SegmentNode* n = work.back();
     work.pop_back();
     old_segments.emplace_back(n->sid, n->distinct_tags);
     for (TagId tid : n->distinct_tags) {
       for (const LocalElement& e : index_.GetElements(tid, n->sid)) {
+        const GlobalElement g = conv.ToGlobal(*n, e);
         ElementRecord r;
         r.tid = tid;
-        r.start = n->FrozenToGlobal(e.start, true) - base_gp;
-        r.end = n->FrozenToGlobal(e.end, false) - base_gp;
+        r.start = g.start - base_gp;
+        r.end = g.end - base_gp;
         r.level = e.level;
         records.push_back(NewRecord{tid, r});
       }

@@ -36,9 +36,10 @@
 #include "obs/metrics.h"
 #include "query/path_summary.h"
 #include "xml/tag_dict.h"
-#include "xmlgen/join_workload.h"
 
 namespace lazyxml {
+
+struct SegmentInsertion;  // xmlgen/join_workload.h
 
 /// Facade configuration.
 struct LazyDatabaseOptions {
@@ -130,7 +131,7 @@ class LazyDatabase : public QueryFacade {
                                     std::string_view descendant_tag,
                                     const LazyJoinOptions& options = {}) override;
 
-  // JoinGlobal / MaterializeGlobalElements / ToGlobalPair are inherited
+  // JoinGlobal / MaterializeGlobalElements are inherited
   // from QueryFacade, implemented once over the virtuals below.
 
   /// LS mode: performs the pre-query work explicitly (benches time it).

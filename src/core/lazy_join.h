@@ -100,6 +100,19 @@ struct LazyJoinStats {
 };
 
 /// Result of a Lazy-Join.
+///
+/// Pair order (the same for the serial kernel, ParallelLazyJoin at any
+/// thread count, summary-pruned runs and compact-index runs; pinned by
+/// LazyJoinPairOrderTest):
+///  1. Pairs are grouped by descendant segment, and each descendant
+///     segment forms exactly one contiguous group. Groups follow the
+///     descendant tag's tag-list order (current global position).
+///  2. Within a group, cross-segment pairs come first, outermost ancestor
+///     segment first. For one ancestor segment, ancestors ascend by frozen
+///     start, and each ancestor's descendants ascend by frozen start.
+///  3. In-segment pairs follow in Stack-Tree-Desc order: descendants
+///     ascend by frozen start, and each descendant's ancestors are listed
+///     outermost (smallest start) first.
 struct LazyJoinResult {
   std::vector<LazyJoinPair> pairs;
   LazyJoinStats stats;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "core/global_converter.h"
+
 namespace lazyxml {
 
 Result<std::vector<JoinPair>> QueryFacade::JoinGlobal(
@@ -9,11 +11,18 @@ Result<std::vector<JoinPair>> QueryFacade::JoinGlobal(
     const LazyJoinOptions& options) {
   LAZYXML_ASSIGN_OR_RETURN(LazyJoinResult lazy,
                            JoinByName(ancestor_tag, descendant_tag, options));
+  const UpdateLog& log = update_log();
+  GlobalConverter conv;
   std::vector<JoinPair> out;
   out.reserve(lazy.pairs.size());
   for (const LazyJoinPair& p : lazy.pairs) {
-    LAZYXML_ASSIGN_OR_RETURN(JoinPair g, ToGlobalPair(p));
-    out.push_back(g);
+    const SegmentNode* a = log.NodeOf(p.ancestor_sid);
+    const SegmentNode* d = log.NodeOf(p.descendant_sid);
+    if (a == nullptr || d == nullptr) {
+      return Status::NotFound("join pair references a dead segment");
+    }
+    out.push_back(JoinPair{conv.ToGlobal(*a, p.ancestor_start, true),
+                           conv.ToGlobal(*d, p.descendant_start, true)});
   }
   std::sort(out.begin(), out.end());
   return out;
@@ -26,6 +35,7 @@ Result<std::vector<GlobalElement>> QueryFacade::MaterializeGlobalElements(
   auto tid_r = tag_dict().Lookup(tag);
   if (!tid_r.ok()) return std::vector<GlobalElement>{};
   const TagId tid = tid_r.ValueOrDie();
+  GlobalConverter conv;
   std::vector<GlobalElement> out;
   for (const TagListEntry& e : log.tag_list().EntriesFor(tid)) {
     SegmentNode* node = log.NodeOf(e.sid());
@@ -33,11 +43,7 @@ Result<std::vector<GlobalElement>> QueryFacade::MaterializeGlobalElements(
       return Status::Internal("tag-list references a dead segment");
     }
     ElementScan scan = GetScan(tid, e.sid());
-    for (const LocalElement& el : *scan) {
-      out.push_back(GlobalElement{node->FrozenToGlobal(el.start, true),
-                                  node->FrozenToGlobal(el.end, false),
-                                  el.level});
-    }
+    for (const LocalElement& el : *scan) out.push_back(conv.ToGlobal(*node, el));
   }
   std::sort(out.begin(), out.end());
   return out;

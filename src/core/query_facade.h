@@ -1,7 +1,7 @@
 // QueryFacade: the read-side surface the query evaluators run against.
 //
-// EvaluatePath / EvaluateTwig / EvaluateXPath and the canonicalization
-// helpers only ever *read* the store: they look tags up, walk the tag
+// The query evaluator (query/xpath.h) and the canonicalization helpers
+// only ever *read* the store: they look tags up, walk the tag
 // list of a frozen log, fetch element scans, issue structural joins and
 // convert lazy identities to global offsets. This interface captures
 // exactly that surface so the same evaluators execute against either
@@ -10,10 +10,11 @@
 //   * a snapshot-isolated read view pinned at a historical mutation
 //     epoch (core/read_view.h, docs/MVCC.md).
 //
-// The global-coordinate helpers (ToGlobalPair, JoinGlobal,
-// MaterializeGlobalElements) are implemented here once, in terms of the
-// virtuals — their only inputs are the log geometry, the tag list and
-// the element scans, all of which the facade provides.
+// The global-coordinate helpers (JoinGlobal, MaterializeGlobalElements)
+// are implemented here once, in terms of the virtuals — their only inputs
+// are the log geometry, the tag list and the element scans, all of which
+// the facade provides. Both convert through one batched GlobalConverter
+// per call (core/global_converter.h).
 
 #ifndef LAZYXML_CORE_QUERY_FACADE_H_
 #define LAZYXML_CORE_QUERY_FACADE_H_
@@ -63,18 +64,6 @@ class QueryFacade {
       const LazyJoinOptions& options = {}) = 0;
 
   // -- Generic helpers over the virtuals ---------------------------------------
-
-  /// Canonicalizes one lazy pair to global start offsets.
-  Result<JoinPair> ToGlobalPair(const LazyJoinPair& pair) const {
-    const UpdateLog& log = update_log();
-    SegmentNode* a = log.NodeOf(pair.ancestor_sid);
-    SegmentNode* d = log.NodeOf(pair.descendant_sid);
-    if (a == nullptr || d == nullptr) {
-      return Status::NotFound("join pair references a dead segment");
-    }
-    return JoinPair{a->FrozenToGlobal(pair.ancestor_start, true),
-                    d->FrozenToGlobal(pair.descendant_start, true)};
-  }
 
   /// Same join, results canonicalized to global start offsets and sorted
   /// (for cross-implementation comparisons).

@@ -49,10 +49,8 @@
 #include "core/compact_index.h"
 #include "core/element_index.h"
 #include "core/parallel_join.h"
-#include "core/path_query.h"
 #include "core/query_facade.h"
 #include "core/scan_cache.h"
-#include "core/twig_query.h"
 #include "core/update_log.h"
 #include "query/path_summary.h"
 #include "query/xpath.h"
@@ -252,21 +250,13 @@ class ReadView {
     return reader_->MaterializeGlobalElements(tag);
   }
 
-  Result<PathQueryResult> Path(std::string_view expr) {
+  /// Structural query in any of the three syntaxes; callers must link
+  /// lazyxml_query (the evaluator lives there — same pattern as
+  /// ConcurrentLazyDatabase::Xpath).
+  Result<XPathResult> Xpath(std::string_view expr,
+                            QuerySyntax syntax = QuerySyntax::kXPath) {
     std::shared_lock lock(*mu_);
-    return EvaluatePath(reader_.get(), expr);
-  }
-
-  Result<TwigQueryResult> Twig(std::string_view expr) {
-    std::shared_lock lock(*mu_);
-    return EvaluateTwig(reader_.get(), expr);
-  }
-
-  /// XPath-subset query; callers must link lazyxml_query (the evaluator
-  /// lives there — same pattern as ConcurrentLazyDatabase::Xpath).
-  Result<XPathResult> Xpath(std::string_view expr) {
-    std::shared_lock lock(*mu_);
-    return EvaluateXPath(reader_.get(), expr);
+    return EvaluateQuery(reader_.get(), syntax, expr);
   }
 
   /// Runs `fn(QueryFacade&)` against the snapshot under one shared

@@ -117,7 +117,9 @@ struct SegmentNode {
   /// `include_splice_at_boundary=true` (a child spliced exactly at the
   /// start offset sits before the element and pushes it right); for
   /// element *end* offsets (one past the close tag) pass `false` (a child
-  /// spliced exactly there is a following sibling).
+  /// spliced exactly there is a following sibling). A linear walk over
+  /// children and gaps: the reference that core/global_converter.h's
+  /// O(log k) conversion is tested against.
   uint64_t FrozenToGlobal(uint64_t frozen,
                           bool include_splice_at_boundary) const;
 

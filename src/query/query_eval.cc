@@ -1,0 +1,485 @@
+#include "query/query_eval.h"
+
+#include <algorithm>
+#include <deque>
+#include <utility>
+
+#include "core/global_converter.h"
+#include "obs/metrics.h"
+#include "query/path_summary.h"
+
+namespace lazyxml {
+
+void SortRefs(std::vector<LazyElementRef>* refs) {
+  std::vector<LazyElementRef>& v = *refs;
+  struct Run {
+    SegmentId sid;
+    size_t begin;
+    size_t end;
+  };
+  std::vector<Run> runs;
+  bool runs_ascending = true;
+  const auto by_start = [](const LazyElementRef& a, const LazyElementRef& b) {
+    return a.start < b.start;
+  };
+  for (size_t i = 0; i < v.size();) {
+    size_t j = i + 1;
+    while (j < v.size() && v[j].sid == v[i].sid) ++j;
+    const auto first = v.begin() + static_cast<ptrdiff_t>(i);
+    const auto last = v.begin() + static_cast<ptrdiff_t>(j);
+    if (!std::is_sorted(first, last, by_start)) std::sort(first, last, by_start);
+    if (!runs.empty() && runs.back().sid >= v[i].sid) runs_ascending = false;
+    runs.push_back(Run{v[i].sid, i, j});
+    i = j;
+  }
+  if (!runs_ascending) {
+    std::sort(runs.begin(), runs.end(),
+              [](const Run& a, const Run& b) { return a.sid < b.sid; });
+    std::vector<LazyElementRef> gathered;
+    gathered.reserve(v.size());
+    for (const Run& r : runs) {
+      gathered.insert(gathered.end(), v.begin() + static_cast<ptrdiff_t>(r.begin),
+                      v.begin() + static_cast<ptrdiff_t>(r.end));
+    }
+    v.swap(gathered);
+    if (!std::is_sorted(v.begin(), v.end())) std::sort(v.begin(), v.end());
+  }
+  v.erase(std::unique(v.begin(), v.end()), v.end());
+}
+
+namespace {
+
+// ---------------------------------------------------------------------------
+// Summary pattern matching
+//
+// Matches the pattern against the path summary: a summary node "matches
+// step i" when its tag passes the name test, it holds a live element,
+// its path chains from a step i-1 match along the step's axis, and
+// every predicate of the step is satisfiable beneath it. Each condition
+// is NECESSARY for a real element chain (every element lies on its
+// root-to-tag path; axes translate to path-tree edges; existence needs
+// count > 0), so an empty match set proves the answer empty and the
+// matched tags are a complete wildcard expansion (docs/PATH_SUMMARY.md).
+
+bool StepTagMatches(const PathSummary& ps, uint32_t node,
+                    const XPathStep& step, const TagDict& dict) {
+  if (step.wildcard) return true;
+  const std::string_view name = dict.Name(ps.tag(node));
+  return !name.empty() && name == step.name;
+}
+
+bool PredsSatisfiable(const PathSummary& ps, const TagDict& dict,
+                      uint32_t node, const XPathStep& step);
+
+/// True when some chain matching steps[idx..] hangs below `node` (first
+/// hop along steps[idx]'s axis).
+bool ChainBelow(const PathSummary& ps, const TagDict& dict, uint32_t node,
+                const std::vector<XPathStep>& steps, size_t idx) {
+  if (idx == steps.size()) return true;
+  const XPathStep& step = steps[idx];
+  std::vector<uint32_t> work(ps.children(node).begin(),
+                             ps.children(node).end());
+  while (!work.empty()) {
+    const uint32_t n = work.back();
+    work.pop_back();
+    if (ps.count(n) > 0 && StepTagMatches(ps, n, step, dict) &&
+        PredsSatisfiable(ps, dict, n, step) &&
+        ChainBelow(ps, dict, n, steps, idx + 1)) {
+      return true;
+    }
+    if (step.descendant_axis) {
+      for (uint32_t c : ps.children(n)) work.push_back(c);
+    }
+  }
+  return false;
+}
+
+bool PredsSatisfiable(const PathSummary& ps, const TagDict& dict,
+                      uint32_t node, const XPathStep& step) {
+  for (const auto& pred : step.predicates) {
+    if (!ChainBelow(ps, dict, node, pred, 0)) return false;
+  }
+  return true;
+}
+
+/// Summary nodes matching each step of the outermost path. An empty set
+/// at any step proves the answer empty. The first step matches anywhere
+/// (implicit descendant-of-root).
+std::vector<std::vector<uint32_t>> MatchSummary(
+    const PathSummary& ps, const TagDict& dict,
+    const std::vector<XPathStep>& steps) {
+  std::vector<std::vector<uint32_t>> matched(steps.size());
+  for (uint32_t n = 1; n < ps.num_nodes(); ++n) {
+    if (ps.count(n) > 0 && StepTagMatches(ps, n, steps[0], dict) &&
+        PredsSatisfiable(ps, dict, n, steps[0])) {
+      matched[0].push_back(n);
+    }
+  }
+  std::vector<uint8_t> prev(ps.num_nodes());
+  for (size_t i = 1; i < steps.size() && !matched[i - 1].empty(); ++i) {
+    const XPathStep& step = steps[i];
+    std::fill(prev.begin(), prev.end(), 0);
+    for (uint32_t n : matched[i - 1]) prev[n] = 1;
+    for (uint32_t n = 1; n < ps.num_nodes(); ++n) {
+      if (ps.count(n) == 0 || !StepTagMatches(ps, n, step, dict)) continue;
+      bool chained = false;
+      for (uint32_t a = ps.parent(n);
+           a != PathSummary::kNoNode && a != PathSummary::kRootNode;
+           a = ps.parent(a)) {
+        if (prev[a]) {
+          chained = true;
+          break;
+        }
+        if (!step.descendant_axis) break;
+      }
+      if (chained && PredsSatisfiable(ps, dict, n, step)) {
+        matched[i].push_back(n);
+      }
+    }
+  }
+  return matched;
+}
+
+// ---------------------------------------------------------------------------
+// Element sets
+
+/// Elements of one tag (query/query_eval.h).
+struct ElementSet {
+  TagId tid = kInvalidTagId;
+  /// Every element of `tid`; `refs` is unused.
+  bool all = false;
+  /// Sorted by (sid, start), distinct.
+  std::vector<LazyElementRef> refs;
+
+  bool empty() const { return !all && refs.empty(); }
+};
+
+using TagSets = std::vector<ElementSet>;
+
+void DropEmpty(TagSets* sets) {
+  sets->erase(std::remove_if(sets->begin(), sets->end(),
+                             [](const ElementSet& s) { return s.empty(); }),
+              sets->end());
+}
+
+/// Membership probe into one set. Remembers the run of the last probed
+/// segment, so a run of pairs from one segment binary-searches only that
+/// segment's elements.
+class Probe {
+ public:
+  static constexpr size_t kMissing = ~size_t{0};
+
+  explicit Probe(const ElementSet& set) : set_(set) {}
+
+  bool Contains(SegmentId sid, uint64_t start) {
+    return set_.all || Find(sid, start) != kMissing;
+  }
+
+  /// Index of (sid, start) in the set's refs, or kMissing. Not for
+  /// "every element" sets.
+  size_t Find(SegmentId sid, uint64_t start) {
+    const std::vector<LazyElementRef>& refs = set_.refs;
+    if (!have_run_ || sid != sid_) {
+      const auto lo = std::partition_point(
+          refs.begin(), refs.end(),
+          [sid](const LazyElementRef& r) { return r.sid < sid; });
+      const auto hi = std::partition_point(
+          lo, refs.end(),
+          [sid](const LazyElementRef& r) { return r.sid == sid; });
+      have_run_ = true;
+      sid_ = sid;
+      begin_ = static_cast<size_t>(lo - refs.begin());
+      end_ = static_cast<size_t>(hi - refs.begin());
+    }
+    const auto first = refs.begin() + static_cast<ptrdiff_t>(begin_);
+    const auto last = refs.begin() + static_cast<ptrdiff_t>(end_);
+    const auto it = std::lower_bound(
+        first, last, start,
+        [](const LazyElementRef& r, uint64_t s) { return r.start < s; });
+    if (it == last || it->start != start) return kMissing;
+    return static_cast<size_t>(it - refs.begin());
+  }
+
+ private:
+  const ElementSet& set_;
+  bool have_run_ = false;
+  SegmentId sid_ = 0;
+  size_t begin_ = 0;
+  size_t end_ = 0;
+};
+
+// ---------------------------------------------------------------------------
+// Evaluation
+
+struct Evaluator {
+  QueryFacade* db = nullptr;
+  LazyJoinOptions options;  // parent_child overridden per edge
+  const PathSummary* summary = nullptr;
+  XPathResult result;
+
+  /// The query's joins, each edge run once (deque: stable addresses).
+  struct Edge {
+    TagId ancestor;
+    TagId descendant;
+    bool parent_child;
+    std::vector<LazyJoinPair> pairs;
+  };
+  std::deque<Edge> edges;
+
+  Result<const std::vector<LazyJoinPair>*> Join(TagId ancestor,
+                                                TagId descendant,
+                                                bool parent_child) {
+    for (const Edge& e : edges) {
+      if (e.ancestor == ancestor && e.descendant == descendant &&
+          e.parent_child == parent_child) {
+        return &e.pairs;
+      }
+    }
+    const TagDict& dict = db->tag_dict();
+    LazyJoinOptions jopts = options;
+    jopts.parent_child = parent_child;
+    LAZYXML_ASSIGN_OR_RETURN(
+        LazyJoinResult join,
+        db->JoinByName(dict.Name(ancestor), dict.Name(descendant), jopts));
+    ++result.joins_executed;
+    result.intermediate_pairs += join.pairs.size();
+    result.segments_pruned += join.stats.segments_pruned;
+    result.elements_skipped += join.stats.elements_skipped;
+    edges.push_back(
+        Edge{ancestor, descendant, parent_child, std::move(join.pairs)});
+    return &edges.back().pairs;
+  }
+
+  /// Tags that can occur at a pattern position: the summary-matched tags
+  /// when a match list is given, else the name's tid (every interned tag
+  /// for a wildcard).
+  std::vector<TagId> CandidateTags(const XPathStep& step,
+                                   const std::vector<uint32_t>* match) const {
+    std::vector<TagId> tags;
+    const TagDict& dict = db->tag_dict();
+    if (match != nullptr) {
+      for (uint32_t n : *match) tags.push_back(summary->tag(n));
+      std::sort(tags.begin(), tags.end());
+      tags.erase(std::unique(tags.begin(), tags.end()), tags.end());
+    } else if (!step.wildcard) {
+      auto tid = dict.Lookup(step.name);
+      if (tid.ok()) tags.push_back(tid.ValueOrDie());
+    } else {
+      for (TagId t = 0; t < dict.size(); ++t) tags.push_back(t);
+    }
+    return tags;
+  }
+
+  static TagSets EveryElement(const std::vector<TagId>& tags) {
+    TagSets sets;
+    for (TagId t : tags) sets.push_back(ElementSet{t, true, {}});
+    return sets;
+  }
+
+  /// Forward step: the candidate-tag elements with a parent (child axis)
+  /// or an ancestor (descendant axis) in `ctx`.
+  Result<TagSets> Forward(const TagSets& ctx, const XPathStep& step,
+                          const std::vector<uint32_t>* match) {
+    TagSets out;
+    for (TagId d : CandidateTags(step, match)) {
+      ElementSet next{d, false, {}};
+      for (const ElementSet& a : ctx) {
+        LAZYXML_ASSIGN_OR_RETURN(const std::vector<LazyJoinPair>* pairs,
+                                 Join(a.tid, d, !step.descendant_axis));
+        Probe probe(a);
+        for (const LazyJoinPair& p : *pairs) {
+          if (!probe.Contains(p.ancestor_sid, p.ancestor_start)) continue;
+          const LazyElementRef r{p.descendant_sid, p.descendant_start};
+          if (next.refs.empty() || !(next.refs.back() == r)) {
+            next.refs.push_back(r);
+          }
+        }
+      }
+      SortRefs(&next.refs);
+      if (!next.empty()) out.push_back(std::move(next));
+    }
+    return out;
+  }
+
+  /// Predicate semi-join: keeps the elements of `set` with a parent-child
+  /// (or ancestor-descendant) partner in `partners`.
+  Status SemiJoin(ElementSet* set, bool parent_child,
+                  const TagSets& partners) {
+    std::vector<uint8_t> keep(set->all ? 0 : set->refs.size(), 0);
+    std::vector<LazyElementRef> found;  // when `set` is every element
+    Probe self(*set);
+    for (const ElementSet& d : partners) {
+      LAZYXML_ASSIGN_OR_RETURN(const std::vector<LazyJoinPair>* pairs,
+                               Join(set->tid, d.tid, parent_child));
+      Probe partner(d);
+      for (const LazyJoinPair& p : *pairs) {
+        if (!partner.Contains(p.descendant_sid, p.descendant_start)) continue;
+        if (set->all) {
+          const LazyElementRef r{p.ancestor_sid, p.ancestor_start};
+          if (found.empty() || !(found.back() == r)) found.push_back(r);
+        } else {
+          const size_t i = self.Find(p.ancestor_sid, p.ancestor_start);
+          if (i != Probe::kMissing) keep[i] = 1;
+        }
+      }
+    }
+    if (set->all) {
+      SortRefs(&found);
+      set->all = false;
+      set->refs = std::move(found);
+    } else {
+      size_t w = 0;
+      for (size_t i = 0; i < set->refs.size(); ++i) {
+        if (keep[i]) set->refs[w++] = set->refs[i];
+      }
+      set->refs.resize(w);
+    }
+    return Status::OK();
+  }
+
+  /// Elements of `path[idx]`'s tags rooting a chain that matches
+  /// path[idx..], predicates included (bottom-up).
+  Result<TagSets> Exists(const std::vector<XPathStep>& path, size_t idx) {
+    TagSets sets = EveryElement(CandidateTags(path[idx], nullptr));
+    LAZYXML_RETURN_NOT_OK(ApplyPredicates(&sets, path[idx]));
+    if (idx + 1 < path.size() && !sets.empty()) {
+      LAZYXML_ASSIGN_OR_RETURN(TagSets below, Exists(path, idx + 1));
+      for (ElementSet& s : sets) {
+        LAZYXML_RETURN_NOT_OK(
+            SemiJoin(&s, !path[idx + 1].descendant_axis, below));
+      }
+      DropEmpty(&sets);
+    }
+    return sets;
+  }
+
+  /// Applies `step`'s predicates to `sets`, most selective first when a
+  /// summary is available (pure existence tests commute, so the order
+  /// only affects how fast the sets shrink).
+  Status ApplyPredicates(TagSets* sets, const XPathStep& step) {
+    std::vector<size_t> order(step.predicates.size());
+    for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+    if (summary != nullptr && order.size() > 1) {
+      std::vector<uint64_t> estimate(order.size());
+      for (size_t i = 0; i < order.size(); ++i) {
+        const XPathStep& first = step.predicates[i][0];
+        if (first.wildcard) {
+          estimate[i] = summary->total_count();
+        } else {
+          auto tid = db->tag_dict().Lookup(first.name);
+          estimate[i] = tid.ok() ? summary->TagCount(tid.ValueOrDie()) : 0;
+        }
+      }
+      std::stable_sort(order.begin(), order.end(),
+                       [&estimate](size_t a, size_t b) {
+                         return estimate[a] < estimate[b];
+                       });
+    }
+    for (size_t i : order) {
+      if (sets->empty()) break;
+      const std::vector<XPathStep>& pred = step.predicates[i];
+      LAZYXML_ASSIGN_OR_RETURN(TagSets partners, Exists(pred, 0));
+      for (ElementSet& s : *sets) {
+        LAZYXML_RETURN_NOT_OK(
+            SemiJoin(&s, !pred[0].descendant_axis, partners));
+      }
+      DropEmpty(sets);
+    }
+    return Status::OK();
+  }
+
+  /// Turns an "every element" set into its sorted element list.
+  void Materialize(ElementSet* set) {
+    for (const TagListEntry& e :
+         db->update_log().tag_list().EntriesFor(set->tid)) {
+      ElementScan scan = db->GetScan(set->tid, e.sid());
+      for (const LocalElement& el : *scan) {
+        set->refs.push_back(LazyElementRef{e.sid(), el.start});
+      }
+    }
+    set->all = false;
+    SortRefs(&set->refs);
+  }
+
+  /// Appends the global intervals of `set`'s elements to `out`.
+  Status Globalize(const ElementSet& set, GlobalConverter* conv,
+                   std::vector<GlobalElement>* out) {
+    const UpdateLog& log = db->update_log();
+    const std::vector<LazyElementRef>& refs = set.refs;
+    for (size_t i = 0; i < refs.size();) {
+      const SegmentId sid = refs[i].sid;
+      const SegmentNode* node = log.NodeOf(sid);
+      if (node == nullptr) {
+        return Status::Internal("query result references a dead segment");
+      }
+      ElementScan scan = db->GetScan(set.tid, sid);
+      size_t j = 0;
+      for (; i < refs.size() && refs[i].sid == sid; ++i) {
+        while (j < scan->size() && (*scan)[j].start < refs[i].start) ++j;
+        if (j == scan->size() || (*scan)[j].start != refs[i].start) {
+          return Status::Internal("query produced an unknown element");
+        }
+        out->push_back(conv->ToGlobal(*node, (*scan)[j]));
+      }
+    }
+    return Status::OK();
+  }
+
+  Status Run(const std::vector<XPathStep>& steps,
+             const std::vector<std::vector<uint32_t>>* matched, bool global) {
+    const auto match = [matched](size_t i) {
+      return matched != nullptr ? &(*matched)[i] : nullptr;
+    };
+    TagSets cur = EveryElement(CandidateTags(steps[0], match(0)));
+    LAZYXML_RETURN_NOT_OK(ApplyPredicates(&cur, steps[0]));
+    for (size_t i = 1; i < steps.size() && !cur.empty(); ++i) {
+      LAZYXML_ASSIGN_OR_RETURN(cur, Forward(cur, steps[i], match(i)));
+      LAZYXML_RETURN_NOT_OK(ApplyPredicates(&cur, steps[i]));
+    }
+    GlobalConverter conv;
+    for (ElementSet& set : cur) {
+      if (set.all) Materialize(&set);
+      if (global) {
+        LAZYXML_RETURN_NOT_OK(Globalize(set, &conv, &result.elements));
+      }
+      result.refs.insert(result.refs.end(), set.refs.begin(), set.refs.end());
+    }
+    // Sets of distinct tags hold distinct elements; only the cross-tag
+    // interleaving (wildcard answers) needs a sort.
+    if (cur.size() > 1) std::sort(result.refs.begin(), result.refs.end());
+    std::sort(result.elements.begin(), result.elements.end());
+    return Status::OK();
+  }
+};
+
+}  // namespace
+
+Result<XPathResult> EvaluateSteps(QueryFacade* db,
+                                  const std::vector<XPathStep>& steps,
+                                  const LazyJoinOptions& options,
+                                  bool global) {
+  if (db == nullptr) return Status::InvalidArgument("query: null database");
+  if (steps.empty()) return Status::InvalidArgument("query: empty expression");
+  Evaluator ev;
+  ev.db = db;
+  ev.options = options;
+  ev.summary = db->path_summary();
+  std::vector<std::vector<uint32_t>> matched;
+  if (ev.summary != nullptr) {
+    matched = MatchSummary(*ev.summary, db->tag_dict(), steps);
+    for (const auto& m : matched) {
+      if (!m.empty()) continue;
+      // The summary proved the answer empty: no tag list is scanned.
+      ev.result.summary_empty = true;
+      LAZYXML_METRIC_COUNTER(pruned_joins, "query.joins_pruned_total");
+      pruned_joins.Increment();
+      return std::move(ev.result);
+    }
+  }
+  db->Freeze();  // tag lists are read directly, not only through joins
+  LAZYXML_RETURN_NOT_OK(
+      ev.Run(steps, ev.summary != nullptr ? &matched : nullptr, global));
+  return std::move(ev.result);
+}
+
+}  // namespace lazyxml

@@ -1,0 +1,57 @@
+// The set-at-a-time query evaluator behind PATH, TWIG and XPATH
+// (query/xpath.h), working in lazy coordinates from start to finish.
+//
+// Element sets. A pattern position holds one element set per candidate
+// tag. A set is either "every element of the tag" — a flag, with no
+// element list and no membership test — or a vector of lazy identities
+// (segment id, frozen start) sorted by (sid, start) and distinct.
+//
+// Semi-joins. Each axis step and each predicate is a semi-join over the
+// Lazy-Join pair vector of one (context tag, step tag) edge; a query
+// joins each distinct edge once. Membership tests are binary searches in
+// the sorted sets, narrowed to the probed segment's run and remembered
+// while consecutive pairs stay in that segment. Forward steps collect
+// descendants; predicates (evaluated bottom-up, so a nested chain is a
+// cascade of the same semi-join) mark ancestors in a byte mask over the
+// context set, or collect them when the context is still "every
+// element". No hash set is built and no element is allocated on its own.
+//
+// Pair order. The evaluator is correct for any pair order; it relies on
+// the order LazyJoin documents (core/lazy_join.h) for speed only, in one
+// place: the normalizing merge (SortRefs in query_eval.cc) that turns
+// collected identities into a sorted set. Because a descendant segment's
+// pairs are contiguous and mostly ascending, that merge sorts short
+// per-segment runs and orders the runs by sid; a segment split over two
+// runs falls back to one full sort.
+//
+// Global offsets. Nothing above computes a global label. When the reply
+// needs them (XPATH), the final sets are converted with one
+// GlobalConverter (core/global_converter.h): the matching scan record
+// supplies each element's end and level, and two binary searches place
+// its start and end.
+
+#ifndef LAZYXML_QUERY_QUERY_EVAL_H_
+#define LAZYXML_QUERY_QUERY_EVAL_H_
+
+#include <vector>
+
+#include "common/result.h"
+#include "core/query_facade.h"
+#include "query/xpath.h"
+
+namespace lazyxml {
+
+/// Evaluates parsed `steps` over `db`. Fills `refs`, and `elements` too
+/// when `global` is set.
+Result<XPathResult> EvaluateSteps(QueryFacade* db,
+                                  const std::vector<XPathStep>& steps,
+                                  const LazyJoinOptions& options,
+                                  bool global);
+
+/// Sorts `refs` by (sid, start) and removes duplicates (the normalizing
+/// merge described above; exposed for tests).
+void SortRefs(std::vector<LazyElementRef>* refs);
+
+}  // namespace lazyxml
+
+#endif  // LAZYXML_QUERY_QUERY_EVAL_H_

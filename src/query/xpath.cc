@@ -1,13 +1,12 @@
 #include "query/xpath.h"
 
 #include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "common/strings.h"
-#include "obs/metrics.h"
-#include "query/path_summary.h"
+#include "join/path_stack.h"
+#include "query/query_eval.h"
+#include "xml/scanner.h"
 
 namespace lazyxml {
 
@@ -15,13 +14,6 @@ namespace {
 
 // ---------------------------------------------------------------------------
 // Parser
-
-bool IsNameStart(char c) {
-  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '_';
-}
-bool IsNameChar(char c) {
-  return IsNameStart(c) || (c >= '0' && c <= '9') || c == '-' || c == '.';
-}
 
 struct Parser {
   std::string_view s;
@@ -66,7 +58,7 @@ struct Parser {
       if (Peek() == '*') {
         step.wildcard = true;
         ++pos;
-      } else if (IsNameStart(Peek())) {
+      } else if (IsNameStartChar(Peek())) {
         const size_t begin = pos;
         while (!AtEnd() && IsNameChar(Peek())) ++pos;
         step.name.assign(s.substr(begin, pos - begin));
@@ -110,292 +102,23 @@ void FormatSteps(const std::vector<XPathStep>& steps, bool leading_axis,
   }
 }
 
-// ---------------------------------------------------------------------------
-// Summary pattern matching
-//
-// Matches the pattern against the path summary: a summary node "matches
-// step i" when its tag passes the name test, it holds a live element,
-// its path chains from a step i-1 match along the step's axis, and
-// every predicate of the step is satisfiable beneath it. Each condition
-// is NECESSARY for a real element chain (every element lies on its
-// root-to-tag path; axes translate to path-tree edges; existence needs
-// count > 0), so an empty match set proves the answer empty and the
-// matched tags are a complete wildcard expansion (docs/PATH_SUMMARY.md).
-
-bool StepTagMatches(const PathSummary& ps, uint32_t node,
-                    const XPathStep& step, const TagDict& dict) {
-  if (step.wildcard) return true;
-  const std::string_view name = dict.Name(ps.tag(node));
-  return !name.empty() && name == step.name;
+/// PATH and TWIG admit no wildcards; PATH admits no predicates either.
+Status CheckSubset(QuerySyntax syntax, const std::vector<XPathStep>& steps) {
+  for (const XPathStep& step : steps) {
+    if (step.wildcard) {
+      return Status::InvalidArgument(
+          "wildcards need the XPATH syntax (PATH and TWIG name every step)");
+    }
+    if (syntax == QuerySyntax::kPath && !step.predicates.empty()) {
+      return Status::InvalidArgument(
+          "predicates need the TWIG or XPATH syntax");
+    }
+    for (const auto& pred : step.predicates) {
+      LAZYXML_RETURN_NOT_OK(CheckSubset(syntax, pred));
+    }
+  }
+  return Status::OK();
 }
-
-bool PredsSatisfiable(const PathSummary& ps, const TagDict& dict,
-                      uint32_t node, const XPathStep& step);
-
-/// True when some chain matching steps[idx..] hangs below `node` (first
-/// hop along steps[idx]'s axis).
-bool ChainBelow(const PathSummary& ps, const TagDict& dict, uint32_t node,
-                const std::vector<XPathStep>& steps, size_t idx) {
-  if (idx == steps.size()) return true;
-  const XPathStep& step = steps[idx];
-  std::vector<uint32_t> work(ps.children(node).begin(),
-                             ps.children(node).end());
-  while (!work.empty()) {
-    const uint32_t n = work.back();
-    work.pop_back();
-    if (ps.count(n) > 0 && StepTagMatches(ps, n, step, dict) &&
-        PredsSatisfiable(ps, dict, n, step) &&
-        ChainBelow(ps, dict, n, steps, idx + 1)) {
-      return true;
-    }
-    if (step.descendant_axis) {
-      for (uint32_t c : ps.children(n)) work.push_back(c);
-    }
-  }
-  return false;
-}
-
-bool PredsSatisfiable(const PathSummary& ps, const TagDict& dict,
-                      uint32_t node, const XPathStep& step) {
-  for (const auto& pred : step.predicates) {
-    if (!ChainBelow(ps, dict, node, pred, 0)) return false;
-  }
-  return true;
-}
-
-/// Summary nodes matching each step of the outermost path. An empty set
-/// at any step proves the answer empty. The first step matches anywhere
-/// (implicit descendant-of-root), like EvaluatePath.
-std::vector<std::vector<uint32_t>> MatchSummary(
-    const PathSummary& ps, const TagDict& dict,
-    const std::vector<XPathStep>& steps) {
-  std::vector<std::vector<uint32_t>> matched(steps.size());
-  for (uint32_t n = 1; n < ps.num_nodes(); ++n) {
-    if (ps.count(n) > 0 && StepTagMatches(ps, n, steps[0], dict) &&
-        PredsSatisfiable(ps, dict, n, steps[0])) {
-      matched[0].push_back(n);
-    }
-  }
-  for (size_t i = 1; i < steps.size() && !matched[i - 1].empty(); ++i) {
-    const XPathStep& step = steps[i];
-    const std::unordered_set<uint32_t> prev(matched[i - 1].begin(),
-                                            matched[i - 1].end());
-    for (uint32_t n = 1; n < ps.num_nodes(); ++n) {
-      if (ps.count(n) == 0 || !StepTagMatches(ps, n, step, dict)) continue;
-      bool chained = false;
-      if (step.descendant_axis) {
-        for (uint32_t a = ps.parent(n);
-             a != PathSummary::kNoNode && a != PathSummary::kRootNode;
-             a = ps.parent(a)) {
-          if (prev.count(a) != 0) {
-            chained = true;
-            break;
-          }
-        }
-      } else {
-        const uint32_t par = ps.parent(n);
-        chained = par != PathSummary::kNoNode && prev.count(par) != 0;
-      }
-      if (chained && PredsSatisfiable(ps, dict, n, step)) {
-        matched[i].push_back(n);
-      }
-    }
-  }
-  return matched;
-}
-
-// ---------------------------------------------------------------------------
-// Lazy-Join compilation
-//
-// Element sets are keyed by global start offset (unique per element:
-// each element owns the byte of its opening '<'), partitioned by tag so
-// every axis edge maps onto JoinByName plans — which prune through the
-// path summary internally. Predicates are backward semi-joins: the
-// predicate chain is evaluated forward keeping each hop's
-// descendant->context edges, then survivors propagate back.
-
-using StartSet = std::unordered_set<uint64_t>;
-using TagSets = std::unordered_map<TagId, StartSet>;
-
-struct Evaluator {
-  QueryFacade* db = nullptr;
-  LazyJoinOptions options;  // parent_child overridden per edge
-  const PathSummary* summary = nullptr;
-  XPathResult result;
-  /// start -> element per materialized tag (for the final output).
-  std::unordered_map<TagId, std::unordered_map<uint64_t, GlobalElement>>
-      materialized;
-
-  /// Tags that can occur at a pattern position: the summary-matched tags
-  /// when a match list is given, else the name's tid (every interned tag
-  /// for a wildcard).
-  std::vector<TagId> CandidateTags(const XPathStep& step,
-                                   const std::vector<uint32_t>* match) {
-    std::vector<TagId> tags;
-    const TagDict& dict = db->tag_dict();
-    if (match != nullptr) {
-      std::unordered_set<TagId> seen;
-      for (uint32_t n : *match) {
-        if (seen.insert(summary->tag(n)).second) {
-          tags.push_back(summary->tag(n));
-        }
-      }
-      return tags;
-    }
-    if (!step.wildcard) {
-      auto tid = dict.Lookup(step.name);
-      if (tid.ok()) tags.push_back(tid.ValueOrDie());
-      return tags;
-    }
-    tags.reserve(dict.size());
-    for (TagId t = 0; t < dict.size(); ++t) tags.push_back(t);
-    return tags;
-  }
-
-  Status Materialize(TagId tid) {
-    if (materialized.count(tid) != 0) return Status::OK();
-    LAZYXML_ASSIGN_OR_RETURN(
-        std::vector<GlobalElement> elems,
-        db->MaterializeGlobalElements(db->tag_dict().Name(tid)));
-    auto& by_start = materialized[tid];
-    by_start.reserve(elems.size());
-    for (const GlobalElement& e : elems) by_start.emplace(e.start, e);
-    return Status::OK();
-  }
-
-  /// One pattern hop: joins every nonempty context tag against every
-  /// candidate tag, keeping pairs whose ancestor is in the context set.
-  /// Fills the hop's elements (by tag) and the (dstart, atag, astart)
-  /// edges the backward pass needs.
-  struct Edge {
-    uint64_t dstart;
-    TagId atag;
-    uint64_t astart;
-  };
-  Status Hop(const TagSets& ctx, const XPathStep& step,
-             const std::vector<uint32_t>* match, TagSets* hop,
-             std::vector<Edge>* edges) {
-    const TagDict& dict = db->tag_dict();
-    const std::vector<TagId> dtags = CandidateTags(step, match);
-    LazyJoinOptions jopts = options;
-    jopts.parent_child = !step.descendant_axis;
-    for (const auto& [atag, aset] : ctx) {
-      if (aset.empty()) continue;
-      for (TagId dtag : dtags) {
-        LAZYXML_ASSIGN_OR_RETURN(
-            LazyJoinResult join,
-            db->JoinByName(dict.Name(atag), dict.Name(dtag), jopts));
-        ++result.joins_executed;
-        result.intermediate_pairs += join.pairs.size();
-        result.segments_pruned += join.stats.segments_pruned;
-        result.elements_skipped += join.stats.elements_skipped;
-        for (const LazyJoinPair& p : join.pairs) {
-          LAZYXML_ASSIGN_OR_RETURN(JoinPair g, db->ToGlobalPair(p));
-          if (aset.count(g.ancestor_start) != 0) {
-            (*hop)[dtag].insert(g.descendant_start);
-            edges->push_back(Edge{g.descendant_start, atag, g.ancestor_start});
-          }
-        }
-      }
-    }
-    return Status::OK();
-  }
-
-  /// Applies `step`'s predicates to `elems`, most selective first when a
-  /// summary is available (pure existence tests commute, so the order
-  /// only affects how fast the candidate sets shrink).
-  Result<TagSets> FilterPredicates(TagSets elems, const XPathStep& step) {
-    std::vector<size_t> order(step.predicates.size());
-    for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-    if (summary != nullptr && order.size() > 1) {
-      std::vector<uint64_t> estimate(order.size());
-      for (size_t i = 0; i < order.size(); ++i) {
-        const XPathStep& first = step.predicates[i][0];
-        if (first.wildcard) {
-          estimate[i] = summary->total_count();
-        } else {
-          auto tid = db->tag_dict().Lookup(first.name);
-          estimate[i] =
-              tid.ok() ? summary->TagCount(tid.ValueOrDie()) : 0;
-        }
-      }
-      std::stable_sort(order.begin(), order.end(),
-                       [&estimate](size_t a, size_t b) {
-                         return estimate[a] < estimate[b];
-                       });
-    }
-    for (size_t i : order) {
-      LAZYXML_ASSIGN_OR_RETURN(
-          elems, Chain(std::move(elems), step.predicates[i], 0));
-      uint64_t remaining = 0;
-      for (const auto& [tag, set] : elems) remaining += set.size();
-      if (remaining == 0) break;
-    }
-    return elems;
-  }
-
-  /// Backward semi-join: the subset of `ctx` rooting at least one chain
-  /// matching steps[idx..].
-  Result<TagSets> Chain(TagSets ctx, const std::vector<XPathStep>& steps,
-                        size_t idx) {
-    if (idx == steps.size()) return ctx;
-    TagSets hop;
-    std::vector<Edge> edges;
-    LAZYXML_RETURN_NOT_OK(Hop(ctx, steps[idx], nullptr, &hop, &edges));
-    LAZYXML_ASSIGN_OR_RETURN(hop, FilterPredicates(std::move(hop),
-                                                   steps[idx]));
-    LAZYXML_ASSIGN_OR_RETURN(hop, Chain(std::move(hop), steps, idx + 1));
-    StartSet surviving;
-    for (const auto& [tag, set] : hop) {
-      surviving.insert(set.begin(), set.end());
-    }
-    TagSets out;
-    for (const Edge& e : edges) {
-      if (surviving.count(e.dstart) != 0) out[e.atag].insert(e.astart);
-    }
-    return out;
-  }
-
-  Status Run(const std::vector<XPathStep>& steps,
-             const std::vector<std::vector<uint32_t>>* matched) {
-    // Step 0: every element of the candidate tags.
-    TagSets cur;
-    for (TagId tid :
-         CandidateTags(steps[0], matched != nullptr ? &(*matched)[0]
-                                                    : nullptr)) {
-      LAZYXML_RETURN_NOT_OK(Materialize(tid));
-      StartSet& set = cur[tid];
-      for (const auto& [start, elem] : materialized[tid]) set.insert(start);
-    }
-    LAZYXML_ASSIGN_OR_RETURN(cur,
-                             FilterPredicates(std::move(cur), steps[0]));
-    for (size_t i = 1; i < steps.size(); ++i) {
-      TagSets hop;
-      std::vector<Edge> edges;
-      LAZYXML_RETURN_NOT_OK(
-          Hop(cur, steps[i],
-              matched != nullptr ? &(*matched)[i] : nullptr, &hop, &edges));
-      LAZYXML_ASSIGN_OR_RETURN(cur,
-                               FilterPredicates(std::move(hop), steps[i]));
-    }
-    for (const auto& [tid, set] : cur) {
-      LAZYXML_RETURN_NOT_OK(Materialize(tid));
-      const auto& by_start = materialized[tid];
-      for (uint64_t start : set) {
-        auto it = by_start.find(start);
-        if (it == by_start.end()) {
-          return Status::Internal("xpath: join produced an unknown element");
-        }
-        result.elements.push_back(it->second);
-      }
-    }
-    std::sort(result.elements.begin(), result.elements.end());
-    result.elements.erase(
-        std::unique(result.elements.begin(), result.elements.end()),
-        result.elements.end());
-    return Status::OK();
-  }
-};
 
 // ---------------------------------------------------------------------------
 // Naive oracle
@@ -457,37 +180,48 @@ std::string FormatXPath(const std::vector<XPathStep>& steps) {
   return out;
 }
 
+Result<std::vector<XPathStep>> ParseQuery(QuerySyntax syntax,
+                                          std::string_view expr) {
+  LAZYXML_ASSIGN_OR_RETURN(std::vector<XPathStep> steps, ParseXPath(expr));
+  if (syntax != QuerySyntax::kXPath) {
+    LAZYXML_RETURN_NOT_OK(CheckSubset(syntax, steps));
+  }
+  return steps;
+}
+
 Result<XPathResult> EvaluateXPath(QueryFacade* db,
                                   const std::vector<XPathStep>& steps,
                                   const LazyJoinOptions& options) {
-  if (steps.empty()) {
-    return Status::InvalidArgument("xpath: empty expression");
-  }
-  Evaluator ev;
-  ev.db = db;
-  ev.options = options;
-  ev.summary = db->path_summary();
-  std::vector<std::vector<uint32_t>> matched;
-  if (ev.summary != nullptr) {
-    matched = MatchSummary(*ev.summary, db->tag_dict(), steps);
-    for (const auto& m : matched) {
-      if (!m.empty()) continue;
-      // The summary proved the answer empty: no tag list is scanned.
-      ev.result.summary_empty = true;
-      LAZYXML_METRIC_COUNTER(pruned_joins, "query.joins_pruned_total");
-      pruned_joins.Increment();
-      return std::move(ev.result);
-    }
-  }
-  LAZYXML_RETURN_NOT_OK(
-      ev.Run(steps, ev.summary != nullptr ? &matched : nullptr));
-  return std::move(ev.result);
+  return EvaluateSteps(db, steps, options, /*global=*/true);
 }
 
 Result<XPathResult> EvaluateXPath(QueryFacade* db, std::string_view expr,
                                   const LazyJoinOptions& options) {
-  LAZYXML_ASSIGN_OR_RETURN(std::vector<XPathStep> steps, ParseXPath(expr));
-  return EvaluateXPath(db, steps, options);
+  return EvaluateQuery(db, QuerySyntax::kXPath, expr, options);
+}
+
+Result<XPathResult> EvaluateQuery(QueryFacade* db, QuerySyntax syntax,
+                                  std::string_view expr,
+                                  const LazyJoinOptions& options) {
+  LAZYXML_ASSIGN_OR_RETURN(std::vector<XPathStep> steps,
+                           ParseQuery(syntax, expr));
+  return EvaluateSteps(db, steps, options, syntax == QuerySyntax::kXPath);
+}
+
+Result<std::vector<GlobalElement>> EvaluatePathHolistic(
+    QueryFacade* db, const std::vector<XPathStep>& steps) {
+  if (db == nullptr) {
+    return Status::InvalidArgument("EvaluatePathHolistic: null database");
+  }
+  LAZYXML_RETURN_NOT_OK(CheckSubset(QuerySyntax::kPath, steps));
+  std::vector<PathStackStep> prepared(steps.size());
+  for (size_t i = 0; i < steps.size(); ++i) {
+    LAZYXML_ASSIGN_OR_RETURN(prepared[i].elements,
+                             db->MaterializeGlobalElements(steps[i].name));
+    prepared[i].descendant_axis = steps[i].descendant_axis;
+  }
+  LAZYXML_ASSIGN_OR_RETURN(PathStackResult r, PathStack(prepared));
+  return std::move(r.matches);
 }
 
 Result<std::vector<GlobalElement>> EvaluateXPathNaive(

@@ -1,7 +1,7 @@
-// XPath-subset queries over the lazy store.
+// Structural queries over the lazy store: one grammar, one evaluator,
+// three reply syntaxes.
 //
-// Grammar (a strict superset of the path/twig syntaxes in
-// core/path_query.h and core/twig_query.h, adding wildcards):
+// Grammar (XPath subset):
 //
 //   xpath     := axis? step (axis step)*
 //   axis      := '//' | '/'
@@ -9,18 +9,24 @@
 //   nametest  := '*' | tagname
 //   predicate := '[' xpath ']'            (structural existence test)
 //
-// As in EvaluatePath, the axis *into the first step* is ignored: the
-// first step selects all elements of its name test anywhere in the super
-// document (every query is implicitly rooted at the dummy root with a
-// descendant axis). Inside a predicate, an omitted leading axis means
-// descendant ('person[profile]' == 'person[.//profile]' in full XPath).
+// Tag names follow the XML scanner (xml/scanner.h IsNameStartChar /
+// IsNameChar), so every tag the store can hold can be queried. The axis
+// *into the first step* is ignored: the first step selects all elements
+// of its name test anywhere in the super document (every query is
+// implicitly rooted at the dummy root with a descendant axis). A missing
+// axis means descendant, so inside a predicate 'person[profile]' ==
+// 'person[.//profile]' in full XPath.
 //
-// Compilation targets the existing Lazy-Join machinery: each axis edge
-// becomes one QueryFacade::JoinByName per (context tag, step tag) pair
-// — which prunes through the path summary internally — and predicates
-// become backward semi-joins over the same plans. Before any join runs,
-// the whole pattern (predicates included) is matched against the path
-// summary (query/path_summary.h) when one is fresh:
+// The PATH and TWIG verbs are syntaxes of the same language (QuerySyntax):
+// PATH admits neither predicates nor wildcards ("person//profile/interest"),
+// TWIG admits predicates but no wildcards ("person[profile]//interest").
+// All three parse into XPathSteps and run through one set-at-a-time
+// evaluator in lazy coordinates (query/query_eval.h). Only XPATH replies
+// carry global `start end` offsets, and they are computed for the result
+// rows alone, by a batched converter (core/global_converter.h).
+//
+// Before any join runs, the whole pattern (predicates included) is matched
+// against the path summary (query/path_summary.h) when one is fresh:
 //  * a pattern reaching no summary node is answered empty with ZERO tag
 //    list scans (XPathResult::summary_empty);
 //  * wildcard steps expand to exactly the tags the summary proved can
@@ -58,6 +64,10 @@ struct XPathStep {
   std::vector<std::vector<XPathStep>> predicates;
 };
 
+/// The three query verbs: one language, three admitted subsets and reply
+/// formats (PATH/TWIG list `sid start`, XPATH lists `start end`).
+enum class QuerySyntax { kPath, kTwig, kXPath };
+
 /// Parse limits (inputs come over the wire / from the fuzzer).
 inline constexpr size_t kMaxXPathLength = 4096;
 inline constexpr size_t kMaxXPathPredicateDepth = 16;
@@ -67,36 +77,71 @@ inline constexpr size_t kMaxXPathSteps = 256;
 /// message on malformed input.
 Result<std::vector<XPathStep>> ParseXPath(std::string_view expr);
 
+/// Parses `expr` as `syntax`: the XPath grammar, minus wildcards for PATH
+/// and TWIG and minus predicates for PATH (InvalidArgument otherwise).
+Result<std::vector<XPathStep>> ParseQuery(QuerySyntax syntax,
+                                          std::string_view expr);
+
 /// Serializes a parsed path back to canonical text (tests/fuzzing:
 /// parse(Format(p)) == p).
 std::string FormatXPath(const std::vector<XPathStep>& steps);
 
-/// XPath evaluation result.
+/// An element in lazy identity.
+struct LazyElementRef {
+  SegmentId sid = 0;
+  uint64_t start = 0;
+
+  bool operator<(const LazyElementRef& o) const {
+    return sid != o.sid ? sid < o.sid : start < o.start;
+  }
+  bool operator==(const LazyElementRef& o) const {
+    return sid == o.sid && start == o.start;
+  }
+};
+
+/// Query evaluation result.
 struct XPathResult {
-  /// Matching final-step elements in global coordinates, sorted,
-  /// deduplicated.
+  /// Matching final-step elements in lazy identity, sorted by
+  /// (sid, start), distinct — what PATH and TWIG replies list.
+  std::vector<LazyElementRef> refs;
+  /// The same elements in global coordinates, sorted. Filled for the
+  /// XPATH syntax only (global offsets are computed for replies alone).
   std::vector<GlobalElement> elements;
-  /// Lazy-Joins executed (0 when the summary answered the query).
+  /// Distinct Lazy-Joins executed (0 when the summary answered).
   uint64_t joins_executed = 0;
-  /// Join pairs materialized across all edges (work measure).
+  /// Join pairs materialized across all joins (work measure).
   uint64_t intermediate_pairs = 0;
   /// True when the path summary proved the answer empty before any tag
   /// list was scanned.
   bool summary_empty = false;
-  /// Aggregated pruning counters from the underlying joins (plus the
-  /// whole lists skipped on a summary_empty answer; see LazyJoinStats).
+  /// Aggregated pruning counters from the underlying joins (see
+  /// LazyJoinStats).
   uint64_t segments_pruned = 0;
   uint64_t elements_skipped = 0;
 };
 
-/// Evaluates `steps` over `db` by compiling to Lazy-Join plans.
+/// Evaluates `steps` over `db`; fills `refs` and `elements`.
 Result<XPathResult> EvaluateXPath(QueryFacade* db,
                                   const std::vector<XPathStep>& steps,
                                   const LazyJoinOptions& options = {});
 
-/// Convenience: parse + evaluate.
+/// Convenience: parse + evaluate (XPATH syntax).
 Result<XPathResult> EvaluateXPath(QueryFacade* db, std::string_view expr,
                                   const LazyJoinOptions& options = {});
+
+/// Parses `expr` as `syntax` and evaluates it: `refs` always, `elements`
+/// only for QuerySyntax::kXPath. The one entry point of all three verbs.
+Result<XPathResult> EvaluateQuery(QueryFacade* db, QuerySyntax syntax,
+                                  std::string_view expr,
+                                  const LazyJoinOptions& options = {});
+
+/// Alternative strategy for predicate- and wildcard-free paths: PathStack
+/// (Bruno et al. [2]) over element lists materialized in global
+/// coordinates — one merge pass, no intermediate pair lists. Returns the
+/// matching final-step elements with global labels. Raced against the
+/// evaluator in bench_ablation.
+Result<std::vector<GlobalElement>> EvaluatePathHolistic(
+    QueryFacade* db, const std::vector<XPathStep>& steps);
 
 /// Oracle: evaluates `steps` by materializing every element of the super
 /// document and walking the tree directly — no joins, no summary, no

@@ -402,69 +402,55 @@ ExecuteOutcome RunCommand(ServerEngine* engine, SessionContext* session,
           OkResponse(StringPrintf("DISCARDED %zu", session->AbortBatch()));
       return out;
     }
-    case CommandKind::kPath: {
-      auto r = engine->Path(cmd.expr);
-      if (!r.ok()) return Fail(r.status());
-      const PathQueryResult& pr = r.ValueOrDie();
-      std::string body;
-      const size_t cap = session->limits().max_result_elements;
-      const size_t listed = std::min(cap, pr.elements.size());
-      for (size_t i = 0; i < listed; ++i) {
-        body += StringPrintf(
-            "%llu %llu\n",
-            static_cast<unsigned long long>(pr.elements[i].sid),
-            static_cast<unsigned long long>(pr.elements[i].start));
-      }
-      out.response = OkResponse(
-          StringPrintf("COUNT %zu PAIRS %llu LISTED %zu", pr.elements.size(),
-                       static_cast<unsigned long long>(pr.intermediate_pairs),
-                       listed),
-          body);
-      return out;
-    }
-    case CommandKind::kTwig: {
-      auto r = engine->Twig(cmd.expr);
-      if (!r.ok()) return Fail(r.status());
-      const TwigQueryResult& tr = r.ValueOrDie();
-      std::string body;
-      const size_t cap = session->limits().max_result_elements;
-      const size_t listed = std::min(cap, tr.elements.size());
-      for (size_t i = 0; i < listed; ++i) {
-        body += StringPrintf(
-            "%llu %llu\n",
-            static_cast<unsigned long long>(tr.elements[i].sid),
-            static_cast<unsigned long long>(tr.elements[i].start));
-      }
-      out.response = OkResponse(
-          StringPrintf("COUNT %zu JOINS %llu LISTED %zu", tr.elements.size(),
-                       static_cast<unsigned long long>(tr.joins), listed),
-          body);
-      return out;
-    }
+    case CommandKind::kPath:
+    case CommandKind::kTwig:
     case CommandKind::kXPath: {
-      auto r = engine->Xpath(cmd.expr);
+      // One evaluator; each verb keeps its reply header and listing.
+      const QuerySyntax syntax = cmd.kind == CommandKind::kPath
+                                     ? QuerySyntax::kPath
+                                 : cmd.kind == CommandKind::kTwig
+                                     ? QuerySyntax::kTwig
+                                     : QuerySyntax::kXPath;
+      auto r = engine->Xpath(cmd.expr, syntax);
       if (!r.ok()) return Fail(r.status());
       const XPathResult& xr = r.ValueOrDie();
+      const size_t count = xr.refs.size();
+      const size_t listed = std::min(session->limits().max_result_elements,
+                                     count);
+      const bool global = syntax == QuerySyntax::kXPath;
       std::string body;
-      const size_t cap = session->limits().max_result_elements;
-      const size_t listed = std::min(cap, xr.elements.size());
       for (size_t i = 0; i < listed; ++i) {
         body += StringPrintf(
             "%llu %llu\n",
-            static_cast<unsigned long long>(xr.elements[i].start),
-            static_cast<unsigned long long>(xr.elements[i].end));
+            static_cast<unsigned long long>(global ? xr.elements[i].start
+                                                   : xr.refs[i].sid),
+            static_cast<unsigned long long>(global ? xr.elements[i].end
+                                                   : xr.refs[i].start));
       }
-      out.response = OkResponse(
-          StringPrintf(
+      std::string header;
+      switch (syntax) {
+        case QuerySyntax::kPath:
+          header = StringPrintf(
+              "COUNT %zu PAIRS %llu LISTED %zu", count,
+              static_cast<unsigned long long>(xr.intermediate_pairs), listed);
+          break;
+        case QuerySyntax::kTwig:
+          header = StringPrintf(
+              "COUNT %zu JOINS %llu LISTED %zu", count,
+              static_cast<unsigned long long>(xr.joins_executed), listed);
+          break;
+        case QuerySyntax::kXPath:
+          header = StringPrintf(
               "COUNT %zu JOINS %llu PAIRS %llu PRUNED %llu SKIPPED %llu "
               "EMPTYPROOF %d LISTED %zu",
-              xr.elements.size(),
-              static_cast<unsigned long long>(xr.joins_executed),
+              count, static_cast<unsigned long long>(xr.joins_executed),
               static_cast<unsigned long long>(xr.intermediate_pairs),
               static_cast<unsigned long long>(xr.segments_pruned),
               static_cast<unsigned long long>(xr.elements_skipped),
-              xr.summary_empty ? 1 : 0, listed),
-          body);
+              xr.summary_empty ? 1 : 0, listed);
+          break;
+      }
+      out.response = OkResponse(header, body);
       return out;
     }
     case CommandKind::kFreeze: {

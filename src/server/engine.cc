@@ -78,38 +78,17 @@ Status ServerEngine::Freeze() {
   return dur_->Freeze();
 }
 
-Result<PathQueryResult> ServerEngine::Path(std::string_view expr) {
-  if (mem_ != nullptr) return mem_->Path(expr);
+Result<XPathResult> ServerEngine::Xpath(std::string_view expr,
+                                        QuerySyntax syntax) {
+  if (mem_ != nullptr) return mem_->Xpath(expr, syntax);
   if (dur_lazy_static_) {
     // An LS query freezes (and journals the freeze point) — exclusive.
     std::unique_lock lock(dur_mu_);
     LAZYXML_RETURN_NOT_OK(dur_->Freeze());
-    return EvaluatePath(&dur_->database(), expr);
+    return EvaluateQuery(&dur_->database(), syntax, expr);
   }
   std::shared_lock lock(dur_mu_);
-  return EvaluatePath(&dur_->database(), expr);
-}
-
-Result<TwigQueryResult> ServerEngine::Twig(std::string_view expr) {
-  if (mem_ != nullptr) return mem_->Twig(expr);
-  if (dur_lazy_static_) {
-    std::unique_lock lock(dur_mu_);
-    LAZYXML_RETURN_NOT_OK(dur_->Freeze());
-    return EvaluateTwig(&dur_->database(), expr);
-  }
-  std::shared_lock lock(dur_mu_);
-  return EvaluateTwig(&dur_->database(), expr);
-}
-
-Result<XPathResult> ServerEngine::Xpath(std::string_view expr) {
-  if (mem_ != nullptr) return mem_->Xpath(expr);
-  if (dur_lazy_static_) {
-    std::unique_lock lock(dur_mu_);
-    LAZYXML_RETURN_NOT_OK(dur_->Freeze());
-    return EvaluateXPath(&dur_->database(), expr);
-  }
-  std::shared_lock lock(dur_mu_);
-  return EvaluateXPath(&dur_->database(), expr);
+  return EvaluateQuery(&dur_->database(), syntax, expr);
 }
 
 Result<check::CheckReport> ServerEngine::Check() {

@@ -27,8 +27,6 @@
 #include "common/ticket_rwlock.h"
 #include "core/concurrent_database.h"
 #include "core/lazy_database.h"
-#include "core/path_query.h"
-#include "core/twig_query.h"
 #include "core/update_batch.h"
 #include "obs/metrics.h"
 #include "query/xpath.h"
@@ -78,9 +76,10 @@ class ServerEngine {
 
   // -- Queries ----------------------------------------------------------------
 
-  Result<PathQueryResult> Path(std::string_view expr);
-  Result<TwigQueryResult> Twig(std::string_view expr);
-  Result<XPathResult> Xpath(std::string_view expr);
+  /// PATH, TWIG and XPATH: one evaluator, `syntax` picks the admitted
+  /// subset and whether global offsets are computed (XPATH only).
+  Result<XPathResult> Xpath(std::string_view expr,
+                            QuerySyntax syntax = QuerySyntax::kXPath);
 
   // -- Introspection ----------------------------------------------------------
 

@@ -42,15 +42,22 @@ Result<ParsedFragment> ParseFragment(std::string_view text, TagDict* dict,
   ParsedFragment out;
   // Count every element the parse produced even when a later token makes
   // the fragment fail: errors_counter disambiguates, and partial counts
-  // are what make "bytes parsed per error" a useful ratio.
+  // are what make "bytes parsed per error" a useful ratio. A successful
+  // parse counts explicitly before `return out;` moves the records away;
+  // the destructor counts the partial records of every failed return.
   struct ElementTally {
     obs::Counter& elements;
     obs::Counter& errors;
     const ParsedFragment& frag;
     bool ok = false;
-    ~ElementTally() {
+    void Succeed() {
       elements.Add(frag.records.size());
-      if (!ok) errors.Increment();
+      ok = true;
+    }
+    ~ElementTally() {
+      if (ok) return;
+      elements.Add(frag.records.size());
+      errors.Increment();
     }
   } tally{elements_counter, errors_counter, out};
   XmlScanner scanner(text, options.base_offset);
@@ -175,7 +182,7 @@ Result<ParsedFragment> ParseFragment(std::string_view text, TagDict* dict,
   out.distinct_tags.erase(
       std::unique(out.distinct_tags.begin(), out.distinct_tags.end()),
       out.distinct_tags.end());
-  tally.ok = true;
+  tally.Succeed();
   return out;
 }
 

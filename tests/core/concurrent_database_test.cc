@@ -21,8 +21,10 @@ TEST(ConcurrentDatabaseTest, SingleThreadedParity) {
   EXPECT_EQ(got, testutil::OracleJoin(shadow, "A", "D"));
   EXPECT_TRUE(db.CheckInvariants().ok());
   EXPECT_EQ(db.Stats().num_segments, 2u);
-  EXPECT_FALSE(db.Path("seg//A").ValueOrDie().elements.empty());
-  EXPECT_FALSE(db.Twig("seg[A]//D").ValueOrDie().elements.empty());
+  EXPECT_FALSE(
+      db.Xpath("seg//A", QuerySyntax::kPath).ValueOrDie().refs.empty());
+  EXPECT_FALSE(
+      db.Xpath("seg[A]//D", QuerySyntax::kTwig).ValueOrDie().refs.empty());
 }
 
 TEST(ConcurrentDatabaseTest, ParallelReaders) {
@@ -250,8 +252,8 @@ TEST(ConcurrentDatabaseTest, LazyStaticPostFreezeReaderStorm) {
       for (int i = 0; i < 50; ++i) {
         auto r = db.JoinByName("A", "D");
         if (!r.ok() || r.ValueOrDie().pairs.size() != 200) ++failures;
-        auto p = db.Path("seg//A");
-        if (!p.ok() || p.ValueOrDie().elements.size() != 200) ++failures;
+        auto p = db.Xpath("seg//A", QuerySyntax::kPath);
+        if (!p.ok() || p.ValueOrDie().refs.size() != 200) ++failures;
         auto v = db.OpenView();
         if (!v.ok() ||
             v.ValueOrDie().JoinByName("A", "D").ValueOrDie().pairs.size() !=

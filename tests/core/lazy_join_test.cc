@@ -1,11 +1,13 @@
 #include "core/lazy_join.h"
 
 #include <algorithm>
+#include <map>
 
 #include <gtest/gtest.h>
 
 #include "core/lazy_database.h"
 #include "tests/testutil.h"
+#include "xmlgen/join_workload.h"
 
 namespace lazyxml {
 namespace {
@@ -243,6 +245,132 @@ TEST(LazyJoinTest, ResultsIdentifyElementsBySegmentAndFrozenStart) {
   EXPECT_EQ(r.pairs[0].ancestor_start, 5u);   // <A> at frozen 5 in seg1
   EXPECT_EQ(r.pairs[0].descendant_sid, 2u);
   EXPECT_EQ(r.pairs[0].descendant_start, 5u);  // <D/> at frozen 5 in seg2
+}
+
+// ---------------------------------------------------------------------------
+// Pair order (documented on LazyJoinResult in core/lazy_join.h; the query
+// evaluator's normalizing merge relies on it for speed).
+
+uint32_t SegmentDepth(const UpdateLog& log, SegmentId sid) {
+  uint32_t depth = 0;
+  for (const SegmentNode* n = log.NodeOf(sid); n->parent != nullptr;
+       n = n->parent) {
+    ++depth;
+  }
+  return depth;
+}
+
+/// Checks `pairs` against the documented order; returns a description of
+/// the first violation, or "" when the order holds.
+std::string PairOrderViolation(const LazyDatabase& db, std::string_view desc,
+                               const std::vector<LazyJoinPair>& pairs) {
+  const UpdateLog& log = db.update_log();
+  std::map<SegmentId, size_t> list_pos;
+  const TagId dtid = db.tag_dict().Lookup(desc).ValueOrDie();
+  for (const TagListEntry& e : log.tag_list().EntriesFor(dtid)) {
+    list_pos.emplace(e.sid(), list_pos.size());
+  }
+  std::map<SegmentId, bool> seen_group;
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    const LazyJoinPair& p = pairs[i];
+    const std::string at = " at pair #" + std::to_string(i);
+    if (i == 0 || pairs[i - 1].descendant_sid != p.descendant_sid) {
+      // 1. A new group: never seen before, and later in tag-list order.
+      if (seen_group[p.descendant_sid]) return "group split" + at;
+      seen_group[p.descendant_sid] = true;
+      if (i > 0 && list_pos.at(pairs[i - 1].descendant_sid) >=
+                       list_pos.at(p.descendant_sid)) {
+        return "groups out of tag-list order" + at;
+      }
+      continue;
+    }
+    const LazyJoinPair& q = pairs[i - 1];
+    const bool q_cross = q.ancestor_sid != q.descendant_sid;
+    const bool p_cross = p.ancestor_sid != p.descendant_sid;
+    if (!q_cross && p_cross) return "cross pair after in-segment pair" + at;
+    if (q_cross && p_cross) {
+      // 2. Outermost ancestor segment first, then (anc, desc) ascending.
+      if (q.ancestor_sid != p.ancestor_sid) {
+        if (SegmentDepth(log, q.ancestor_sid) >=
+            SegmentDepth(log, p.ancestor_sid)) {
+          return "ancestor segments not outermost first" + at;
+        }
+      } else if (std::make_pair(q.ancestor_start, q.descendant_start) >=
+                 std::make_pair(p.ancestor_start, p.descendant_start)) {
+        return "cross pairs not ascending" + at;
+      }
+    } else if (!q_cross && !p_cross &&
+               std::make_pair(q.descendant_start, q.ancestor_start) >=
+                   std::make_pair(p.descendant_start, p.ancestor_start)) {
+      // 3. Stack-Tree-Desc: (desc, anc) ascending.
+      return "in-segment pairs not in Stack-Tree-Desc order" + at;
+    }
+  }
+  return "";
+}
+
+TEST(LazyJoinPairOrderTest, AllExecutorsEmitTheDocumentedOrder) {
+  JoinWorkloadConfig config;
+  config.num_segments = 40;
+  config.shape = ErTreeShape::kBalanced;
+  config.total_joins = 3000;
+  config.cross_fraction = 0.5;
+  config.num_a_elements = 4000;
+  config.num_d_elements = 4000;
+  auto plan = BuildJoinWorkload(config);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+
+  struct Config {
+    const char* name;
+    QueryOptions query;
+  };
+  std::vector<Config> configs(4);
+  configs[0].name = "serial";
+  configs[0].query.use_path_summary = false;
+  configs[1].name = "parallel4";
+  configs[1].query.use_path_summary = false;
+  configs[1].query.num_threads = 4;
+  configs[2].name = "summary-pruned";
+  configs[3].name = "compact";
+  configs[3].query.use_path_summary = false;
+  configs[3].query.use_compact_index = true;
+
+  struct Join {
+    const char* anc;
+    const char* desc;
+    bool parent_child;
+  };
+  for (const Join& j : {Join{"A", "D", false}, Join{"A", "D", true},
+                        Join{"A", "A", false}, Join{"seg", "D", false},
+                        Join{"seg", "seg", false}}) {
+    SCOPED_TRACE(std::string(j.anc) + (j.parent_child ? "/" : "//") + j.desc);
+    std::vector<LazyJoinPair> reference;
+    for (const Config& c : configs) {
+      LazyDatabaseOptions opts;
+      opts.query = c.query;
+      LazyDatabase db(opts);
+      ASSERT_TRUE(db.ApplyPlan(plan.ValueOrDie().insertions).ok());
+      // A few LD updates so the geometry is not just the chop plan's.
+      ASSERT_TRUE(db.InsertSegment("<A><D/><A><D/></A></A>", 0).ok());
+      db.Freeze();
+      LazyJoinOptions jopts;
+      jopts.parent_child = j.parent_child;
+      auto r = db.JoinByName(j.anc, j.desc, jopts);
+      ASSERT_TRUE(r.ok()) << c.name;
+      const LazyJoinResult& res = r.ValueOrDie();
+      EXPECT_EQ(PairOrderViolation(db, j.desc, res.pairs), "") << c.name;
+      if (c.query.num_threads > 1 && std::string(j.anc) == "A" &&
+          std::string(j.desc) == "D" && !j.parent_child) {
+        EXPECT_GT(res.stats.partitions, 1u) << "the executor must split";
+      }
+      if (reference.empty()) {
+        reference = res.pairs;
+        ASSERT_FALSE(reference.empty());
+      } else {
+        EXPECT_TRUE(res.pairs == reference) << c.name;
+      }
+    }
+  }
 }
 
 }  // namespace

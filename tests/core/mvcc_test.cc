@@ -72,7 +72,9 @@ TEST(MvccTest, ReadViewIsolatedFromLaterWrites) {
   // ...but the view still answers from the pinned state, stably.
   EXPECT_EQ(view.JoinGlobal("A", "D").ValueOrDie(), before);
   EXPECT_EQ(view.JoinGlobal("A", "D").ValueOrDie(), before);
-  EXPECT_EQ(view.Path("seg//A//D").ValueOrDie().elements.size(), 1u);
+  EXPECT_EQ(
+      view.Xpath("seg//A//D", QuerySyntax::kPath).ValueOrDie().refs.size(),
+      1u);
 
   const MvccStats mid = db.MvccStatsSnapshot();
   EXPECT_EQ(mid.views_open, 1u);

@@ -6,7 +6,7 @@
 
 #include "common/random.h"
 #include "common/serial.h"
-#include "core/path_query.h"
+#include "query/xpath.h"
 #include "tests/testutil.h"
 #include "xmlgen/chopper.h"
 #include "xmlgen/synthetic_generator.h"
@@ -115,9 +115,10 @@ TEST(SnapshotTest, RoundTripChoppedDocument) {
   auto blob = SerializeDatabase(db).ValueOrDie();
   auto restored = DeserializeDatabase(blob).ValueOrDie();
   for (const char* expr : {"t0//t1", "root//t2/t3", "t1//t1"}) {
-    auto a = EvaluatePath(&db, expr).ValueOrDie();
-    auto b = EvaluatePath(restored.get(), expr).ValueOrDie();
-    EXPECT_EQ(a.elements.size(), b.elements.size()) << expr;
+    auto a = EvaluateQuery(&db, QuerySyntax::kPath, expr).ValueOrDie();
+    auto b =
+        EvaluateQuery(restored.get(), QuerySyntax::kPath, expr).ValueOrDie();
+    EXPECT_EQ(a.refs.size(), b.refs.size()) << expr;
   }
 }
 

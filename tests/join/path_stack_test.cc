@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/lazy_database.h"
-#include "core/path_query.h"
+#include "query/xpath.h"
 #include "tests/testutil.h"
 #include "xmlgen/chopper.h"
 #include "xmlgen/synthetic_generator.h"
@@ -83,21 +83,11 @@ TEST(PathStackTest, MatchesPipelineOnDocuments) {
   ASSERT_TRUE(db.ApplyPlan(plan.insertions).ok());
   for (const char* expr : {"t0//t1", "t0//t1//t2", "t1/t1", "root//t2/t0",
                            "t0//t0//t0"}) {
-    auto steps = ParsePathExpression(expr).ValueOrDie();
+    auto steps = ParseQuery(QuerySyntax::kPath, expr).ValueOrDie();
     auto holistic = EvaluatePathHolistic(&db, steps).ValueOrDie();
-    // Pipeline result, globalized.
-    auto pipeline = EvaluatePath(&db, steps).ValueOrDie();
-    std::vector<uint64_t> pipeline_starts;
-    for (const LazyElementRef& e : pipeline.elements) {
-      pipeline_starts.push_back(
-          db.update_log().NodeOf(e.sid)->FrozenToGlobal(e.start, true));
-    }
-    std::sort(pipeline_starts.begin(), pipeline_starts.end());
-    std::vector<uint64_t> holistic_starts;
-    for (const GlobalElement& e : holistic) {
-      holistic_starts.push_back(e.start);
-    }
-    EXPECT_EQ(holistic_starts, pipeline_starts) << expr;
+    // Semi-join evaluator result, globalized.
+    auto pipeline = EvaluateXPath(&db, steps).ValueOrDie();
+    EXPECT_EQ(holistic, pipeline.elements) << expr;
   }
 }
 
@@ -117,10 +107,10 @@ TEST(PathStackTest, MatchesPipelineOnXMark) {
   for (const char* expr :
        {"site//person//watch", "people/person/profile/interest",
         "person//watches/watch"}) {
-    auto steps = ParsePathExpression(expr).ValueOrDie();
+    auto steps = ParseQuery(QuerySyntax::kPath, expr).ValueOrDie();
     auto holistic = EvaluatePathHolistic(&db, steps).ValueOrDie();
-    auto pipeline = EvaluatePath(&db, steps).ValueOrDie();
-    EXPECT_EQ(holistic.size(), pipeline.elements.size()) << expr;
+    auto pipeline = EvaluateXPath(&db, steps).ValueOrDie();
+    EXPECT_EQ(holistic, pipeline.elements) << expr;
     EXPECT_FALSE(holistic.empty()) << expr;
   }
 }

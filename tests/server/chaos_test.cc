@@ -344,9 +344,9 @@ TEST_F(ChaosTest, QueuedUpdatesPastBudgetAreExpiredNotExecuted) {
 
   // Expired LOADs never touched the engine: the element count reflects
   // only the successful ones.
-  auto path = engine_->Path("r/e");
+  auto path = engine_->Xpath("r/e", QuerySyntax::kPath);
   ASSERT_TRUE(path.ok());
-  EXPECT_EQ(path.ValueOrDie().elements.size(),
+  EXPECT_EQ(path.ValueOrDie().refs.size(),
             static_cast<uint64_t>(ok_count) * 30000u);
 }
 
@@ -654,9 +654,9 @@ TEST_F(ChaosTest, KillNineMidSwarmRecoversCleanAndDeterministically) {
       auto check = engine.ValueOrDie()->Check();
       ASSERT_TRUE(check.ok());
       EXPECT_EQ(check.ValueOrDie().errors(), 0u) << "round " << round;
-      auto path = engine.ValueOrDie()->Path("d/k");
+      auto path = engine.ValueOrDie()->Xpath("d/k", QuerySyntax::kPath);
       ASSERT_TRUE(path.ok());
-      const uint64_t recovered = path.ValueOrDie().elements.size();
+      const uint64_t recovered = path.ValueOrDie().refs.size();
       EXPECT_GE(recovered, acked_docs) << "round " << round;
       EXPECT_LE(recovered, sent_docs) << "round " << round;
     }

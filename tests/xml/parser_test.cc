@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.h"
+
 namespace lazyxml {
 namespace {
 
@@ -183,6 +185,22 @@ TEST(ParserTest, LevelsMatchStackDepthInMixedDoc) {
   std::vector<uint32_t> levels;
   for (const auto& rec : f.records) levels.push_back(rec.level);
   EXPECT_EQ(levels, (std::vector<uint32_t>{1, 2, 3, 2, 2, 3, 4}));
+}
+
+// Regression: the element counter used to read after `return out;` had
+// moved the records into the Result, so successful parses counted 0.
+TEST(ParserTest, ElementCounterCountsSuccessAndPartialFailure) {
+  obs::Counter& elements =
+      obs::MetricsRegistry::Global().GetCounter("xml.parse.elements");
+  TagDict dict;
+  uint64_t before = elements.Value();
+  ASSERT_TRUE(ParseFragment("<a><b/><c/></a>", &dict).ok());
+  EXPECT_EQ(elements.Value() - before, 3u);
+
+  // Two start tags are recorded before the mismatched end tag fails.
+  before = elements.Value();
+  ASSERT_FALSE(ParseFragment("<a><b></c></a>", &dict).ok());
+  EXPECT_EQ(elements.Value() - before, 2u);
 }
 
 }  // namespace
