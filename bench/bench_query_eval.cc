@@ -6,6 +6,13 @@
 //    shape: XMark with 8000 persons (seed 3) chopped into 1000 balanced
 //    segments, default query options (path summary on). No server, lock
 //    or writer. The label names the template.
+//  * BM_Join/<i>: one Lazy-Join edge of those templates (JoinByName,
+//    serial, path summary on) on the same corpus; `pairs` is its output
+//    size. The label names the edge.
+//  * BM_Scan/<i>: fetching every (tag, segment) element list of one tag
+//    through the query facade (LazyDatabase::GetScan, no scan cache), as
+//    the joins and the evaluator do. The `per_elem` counter is the time
+//    per element fetched.
 //  * BM_GlobalConvert/<children>/<batched>: converting every element of a
 //    1000-element segment with `children` child segments spliced between
 //    its elements to global offsets — batched (GlobalConverter, two binary
@@ -117,6 +124,72 @@ BENCHMARK(BM_Template)
     ->DenseRange(0, 25)
     ->Unit(benchmark::kMicrosecond);
 
+struct Edge {
+  const char* ancestor;
+  const char* descendant;
+  bool parent_child;
+};
+
+const std::vector<Edge>& Edges() {
+  static const std::vector<Edge> kEdges = {
+      {"person", "phone", false},    {"profile", "interest", false},
+      {"watches", "watch", false},   {"person", "address", true},
+      {"address", "city", true},
+  };
+  return kEdges;
+}
+
+void BM_Join(benchmark::State& state) {
+  const Edge& e = Edges()[static_cast<size_t>(state.range(0))];
+  LazyDatabase* db = Corpus();
+  LazyJoinOptions opts;
+  opts.parent_child = e.parent_child;
+  size_t pairs = 0;
+  for (auto _ : state) {
+    auto r = db->JoinByName(e.ancestor, e.descendant, opts);
+    LAZYXML_CHECK(r.ok());
+    pairs = r.ValueOrDie().pairs.size();
+    benchmark::DoNotOptimize(pairs);
+  }
+  state.counters["pairs"] = static_cast<double>(pairs);
+  state.SetLabel(std::string(e.ancestor) + (e.parent_child ? "/" : "//") +
+                 e.descendant);
+}
+BENCHMARK(BM_Join)
+    ->DenseRange(0, 4)
+    ->Unit(benchmark::kMicrosecond);
+
+const std::vector<const char*>& ScanTags() {
+  static const std::vector<const char*> kTags = {
+      "person", "phone", "interest", "watch", "address", "open_auction"};
+  return kTags;
+}
+
+void BM_Scan(benchmark::State& state) {
+  const char* tag = ScanTags()[static_cast<size_t>(state.range(0))];
+  LazyDatabase* db = Corpus();
+  db->Freeze();
+  const TagId tid = db->tag_dict().Lookup(tag).ValueOrDie();
+  uint64_t elements = 0;
+  for (auto _ : state) {
+    elements = 0;
+    for (const TagListEntry& e : db->update_log().tag_list().EntriesFor(tid)) {
+      ElementScan scan = db->GetScan(tid, e.sid());
+      elements += scan->size();
+      benchmark::DoNotOptimize(scan->data());
+    }
+  }
+  state.counters["elements"] = static_cast<double>(elements);
+  state.counters["per_elem"] = benchmark::Counter(
+      static_cast<double>(elements),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+  state.SetLabel(tag);
+}
+BENCHMARK(BM_Scan)
+    ->DenseRange(0, 5)
+    ->Unit(benchmark::kMicrosecond);
+
 /// One segment of 1000 <e/> elements with `children` child segments
 /// spliced between them, evenly spaced.
 std::unique_ptr<LazyDatabase> StarSegment(int children) {
@@ -140,7 +213,7 @@ void BM_GlobalConvert(benchmark::State& state) {
   auto db = StarSegment(children);
   const SegmentNode* top = db->update_log().root()->children[0];
   LAZYXML_CHECK(top->children.size() == static_cast<size_t>(children));
-  const std::vector<LocalElement> elems = db->element_index().GetElements(
+  const std::vector<LocalElement> elems = *db->element_index().GetScan(
       db->tag_dict().Lookup("e").ValueOrDie(), top->sid);
   uint64_t sum = 0;
   for (auto _ : state) {

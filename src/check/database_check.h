@@ -412,7 +412,8 @@ inline Result<CheckReport> CheckDatabase(const LazyDatabase& db) {
         report.AddError("compact_index", "decode-failure", os.str(), sid);
         return true;
       }
-      const std::vector<LocalElement> tree = index.GetElements(tid, sid);
+      const ElementScan run = index.GetScan(tid, sid);
+      const std::vector<LocalElement>& tree = *run;
       if (decoded.size() != tree.size()) {
         std::ostringstream os;
         os << "compact list (tag " << tid << ", segment " << sid

@@ -118,6 +118,14 @@ Result<CompactTagScan> CompactTagScan::Encode(
       return Status::InvalidArgument(
           "compact encode: starts not strictly ascending");
     }
+    // The extent is stored zigzagged as a signed value, so it must fit
+    // int64; computing it unsigned keeps a maximal interval defined.
+    const uint64_t extent = e.end - e.start;
+    if (extent > static_cast<uint64_t>(INT64_MAX)) {
+      return Status::InvalidArgument(StringPrintf(
+          "compact encode: extent %llu exceeds INT64_MAX",
+          static_cast<unsigned long long>(extent)));
+    }
     const bool block_full =
         i > 0 && (block_records >= kCompactBlockMaxRecords ||
                   scan.bytes_.size() - hdr.byte_offset >=
@@ -128,8 +136,7 @@ Result<CompactTagScan> CompactTagScan::Encode(
     } else {
       PutVarint(&scan.bytes_, e.start - prev_start);
     }
-    PutVarint(&scan.bytes_, ZigzagEncode(static_cast<int64_t>(e.end) -
-                                         static_cast<int64_t>(e.start)));
+    PutVarint(&scan.bytes_, ZigzagEncode(static_cast<int64_t>(extent)));
     PutVarint(&scan.bytes_, e.level);
     hdr.max_end = std::max(hdr.max_end, e.end);
     prev_start = e.start;

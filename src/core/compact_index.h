@@ -106,7 +106,7 @@ struct CompactBlockHeader {
 class CompactTagScan {
  public:
   /// Encodes `elems` (strictly ascending start, end > start — the order
-  /// ElementIndex::GetElements returns). InvalidArgument otherwise.
+  /// ElementIndex::GetScan returns). InvalidArgument otherwise.
   static Result<CompactTagScan> Encode(std::span<const LocalElement> elems);
 
   uint64_t count() const { return count_; }

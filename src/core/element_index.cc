@@ -1,69 +1,101 @@
 #include "core/element_index.h"
 
 #include <algorithm>
+#include <iterator>
 
 namespace lazyxml {
+
+namespace {
+
+// The run GetScan returns for an absent key: shared, so a miss allocates
+// nothing either.
+const ElementScan& EmptyRun() {
+  static const ElementScan* const empty =
+      new ElementScan(std::make_shared<const std::vector<LocalElement>>());
+  return *empty;
+}
+
+}  // namespace
+
+Result<std::vector<ElementIndex::Run>> ElementIndex::MakeRuns(
+    std::vector<ElementIndexRecord> records) {
+  // Parser output is in preorder (ascending start) but interleaves tags;
+  // one sort puts it in record order, and runs fall out as the maximal
+  // stretches of equal (tid, sid).
+  std::sort(records.begin(), records.end(),
+            [](const ElementIndexRecord& a, const ElementIndexRecord& b) {
+              return std::tie(a.tid, a.sid, a.start) <
+                     std::tie(b.tid, b.sid, b.start);
+            });
+  std::vector<Run> runs;
+  for (size_t i = 0; i < records.size();) {
+    const Key key{records[i].tid, records[i].sid};
+    size_t j = i + 1;
+    while (j < records.size() && records[j].tid == key.tid &&
+           records[j].sid == key.sid) {
+      if (records[j].start == records[j - 1].start) {
+        return Status::InvalidArgument("duplicate element record");
+      }
+      ++j;
+    }
+    auto run = std::make_shared<std::vector<LocalElement>>();
+    run->reserve(j - i);
+    for (; i < j; ++i) {
+      run->push_back(
+          LocalElement{records[i].start, records[i].end, records[i].level});
+    }
+    runs.emplace_back(key, std::move(run));
+  }
+  return runs;
+}
+
+Status ElementIndex::InsertRuns(std::vector<Run> runs) {
+  for (const Run& r : runs) {
+    if (tree_.Contains(r.first)) {
+      return Status::AlreadyExists("element run already indexed");
+    }
+  }
+  size_t added = 0;
+  for (const Run& r : runs) added += r.second->size();
+  LAZYXML_RETURN_NOT_OK(tree_.InsertSortedBatch(std::move(runs)));
+  records_ += added;
+  return Status::OK();
+}
 
 Status ElementIndex::InsertRecords(SegmentId sid,
                                    std::span<const ElementRecord> records) {
   if (records.empty()) return Status::OK();
-  // Parser output is in preorder (ascending start) but interleaves tags;
-  // one sort puts it in key order for the batched tree apply.
-  std::vector<std::pair<Key, Val>> sorted;
-  sorted.reserve(records.size());
+  std::vector<ElementIndexRecord> all;
+  all.reserve(records.size());
   for (const ElementRecord& r : records) {
-    sorted.emplace_back(Key{r.tid, sid, r.start}, Val{r.end, r.level});
+    all.push_back(ElementIndexRecord{r.tid, sid, r.start, r.end, r.level});
   }
-  std::sort(sorted.begin(), sorted.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  return tree_.InsertSortedBatch(std::move(sorted));
+  LAZYXML_ASSIGN_OR_RETURN(std::vector<Run> runs, MakeRuns(std::move(all)));
+  return InsertRuns(std::move(runs));
 }
 
 Status ElementIndex::InsertRecordsBatch(
     std::span<const ElementIndexRecord> records) {
   if (records.empty()) return Status::OK();
-  std::vector<std::pair<Key, Val>> sorted;
-  sorted.reserve(records.size());
-  for (const ElementIndexRecord& r : records) {
-    sorted.emplace_back(Key{r.tid, r.sid, r.start}, Val{r.end, r.level});
-  }
-  std::sort(sorted.begin(), sorted.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  return tree_.InsertSortedBatch(std::move(sorted));
+  LAZYXML_ASSIGN_OR_RETURN(
+      std::vector<Run> runs,
+      MakeRuns(std::vector<ElementIndexRecord>(records.begin(),
+                                               records.end())));
+  return InsertRuns(std::move(runs));
 }
 
 Status ElementIndex::BuildFrom(std::vector<ElementIndexRecord> records) {
-  std::vector<std::pair<Key, Val>> sorted;
-  sorted.reserve(records.size());
-  for (const ElementIndexRecord& r : records) {
-    sorted.emplace_back(Key{r.tid, r.sid, r.start}, Val{r.end, r.level});
-  }
-  std::sort(sorted.begin(), sorted.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  return tree_.BuildFrom(std::move(sorted));
+  const size_t total = records.size();
+  LAZYXML_ASSIGN_OR_RETURN(std::vector<Run> runs,
+                           MakeRuns(std::move(records)));
+  LAZYXML_RETURN_NOT_OK(tree_.BuildFrom(std::move(runs)));
+  records_ = total;
+  return Status::OK();
 }
 
-std::vector<LocalElement> ElementIndex::GetElements(TagId tid,
-                                                    SegmentId sid) const {
-  std::vector<LocalElement> out;
-  const Key lo{tid, sid, 0};
-  const Key hi{tid, sid + 1, 0};
-  tree_.ScanRange(lo, hi, [&out](const Key& k, Val& v) {
-    out.push_back(LocalElement{k.start, v.end, v.level});
-    return true;
-  });
-  return out;
-}
-
-uint64_t ElementIndex::CountElements(TagId tid, SegmentId sid) const {
-  uint64_t n = 0;
-  const Key lo{tid, sid, 0};
-  const Key hi{tid, sid + 1, 0};
-  tree_.ScanRange(lo, hi, [&n](const Key&, Val&) {
-    ++n;
-    return true;
-  });
-  return n;
+ElementScan ElementIndex::GetScan(TagId tid, SegmentId sid) const {
+  const ElementScan* run = tree_.Find(Key{tid, sid});
+  return run != nullptr ? *run : EmptyRun();
 }
 
 bool ElementIndex::FindInnermostContaining(SegmentId sid,
@@ -73,19 +105,24 @@ bool ElementIndex::FindInnermostContaining(SegmentId sid,
   bool found = false;
   LocalElement best;
   for (TagId tid : tags) {
-    const Key lo{tid, sid, 0};
-    const Key hi{tid, sid + 1, 0};
+    const ElementScan* run = tree_.Find(Key{tid, sid});
+    if (run == nullptr) continue;
     // The innermost container has the greatest start among elements with
-    // start < f < end; a linear scan bounded by start < f suffices (the
-    // index has no end-ordered access path, mirroring the paper).
-    tree_.ScanRange(lo, hi, [&](const Key& k, Val& v) {
-      if (k.start >= f) return false;
-      if (v.end > f && (!found || k.start > best.start)) {
-        best = LocalElement{k.start, v.end, v.level};
+    // start < f < end: bisect to the last start < f, then walk back to the
+    // first element still open at f.
+    const std::vector<LocalElement>& v = **run;
+    auto it = std::lower_bound(
+        v.begin(), v.end(), f,
+        [](const LocalElement& e, uint64_t t) { return e.start < t; });
+    while (it != v.begin()) {
+      --it;
+      if (found && it->start <= best.start) break;
+      if (it->end > f) {
+        best = *it;
         found = true;
+        break;
       }
-      return true;
-    });
+    }
   }
   if (found && out != nullptr) *out = best;
   return found;
@@ -95,17 +132,12 @@ Result<RemovedCounts> ElementIndex::DeleteSegment(SegmentId sid,
                                                   std::span<const TagId> tags) {
   RemovedCounts counts;
   for (TagId tid : tags) {
-    std::vector<Key> doomed;
-    const Key lo{tid, sid, 0};
-    const Key hi{tid, sid + 1, 0};
-    tree_.ScanRange(lo, hi, [&doomed, tid, sid](const Key& k, Val&) {
-      doomed.push_back(Key{tid, sid, k.start});
-      return true;
-    });
-    for (const Key& k : doomed) {
-      LAZYXML_RETURN_NOT_OK(tree_.Erase(k));
-    }
-    if (!doomed.empty()) counts[tid] = doomed.size();
+    const ElementScan* run = tree_.Find(Key{tid, sid});
+    if (run == nullptr) continue;
+    const size_t n = (*run)->size();
+    LAZYXML_RETURN_NOT_OK(tree_.Erase(Key{tid, sid}));
+    records_ -= n;
+    counts[tid] = n;
   }
   return counts;
 }
@@ -114,32 +146,73 @@ Result<RemovedCounts> ElementIndex::DeleteRange(SegmentId sid,
                                                 std::span<const TagId> tags,
                                                 uint64_t begin, uint64_t end) {
   // Two passes so a straddle anywhere aborts before anything is deleted.
-  std::vector<std::pair<TagId, Key>> doomed;
+  struct Doomed {
+    TagId tid;
+    size_t count;
+  };
+  std::vector<Doomed> doomed;
+  const auto inside = [begin, end](const LocalElement& e) {
+    return e.start >= begin && e.start < end && e.end > begin && e.end <= end;
+  };
   for (TagId tid : tags) {
-    const Key lo{tid, sid, 0};
-    const Key hi{tid, sid + 1, 0};
-    Status straddle = Status::OK();
-    tree_.ScanRange(lo, hi, [&](const Key& k, Val& v) {
-      const bool starts_inside = k.start >= begin && k.start < end;
-      const bool ends_inside = v.end > begin && v.end <= end;
+    const ElementScan* run = tree_.Find(Key{tid, sid});
+    if (run == nullptr) continue;
+    size_t count = 0;
+    for (const LocalElement& e : **run) {
+      const bool starts_inside = e.start >= begin && e.start < end;
+      const bool ends_inside = e.end > begin && e.end <= end;
       if (starts_inside && ends_inside) {
-        doomed.emplace_back(tid, Key{tid, sid, k.start});
+        ++count;
       } else if (starts_inside != ends_inside &&
-                 !(k.start < begin && v.end > end)) {
-        straddle = Status::Corruption(
-            "removal range splits an element record");
-        return false;
+                 !(e.start < begin && e.end > end)) {
+        return Status::Corruption("removal range splits an element record");
       }
-      return true;
-    });
-    LAZYXML_RETURN_NOT_OK(straddle);
+    }
+    if (count > 0) doomed.push_back(Doomed{tid, count});
   }
   RemovedCounts counts;
-  for (const auto& [tid, k] : doomed) {
-    LAZYXML_RETURN_NOT_OK(tree_.Erase(k));
-    ++counts[tid];
+  for (const Doomed& d : doomed) {
+    ElementScan* run = tree_.Find(Key{d.tid, sid});
+    if ((*run)->size() == d.count) {
+      LAZYXML_RETURN_NOT_OK(tree_.Erase(Key{d.tid, sid}));
+    } else {
+      // Copy-on-write: holders of the old run keep seeing it unchanged.
+      auto shrunk = std::make_shared<std::vector<LocalElement>>();
+      shrunk->reserve((*run)->size() - d.count);
+      std::remove_copy_if((*run)->begin(), (*run)->end(),
+                          std::back_inserter(*shrunk), inside);
+      *run = std::move(shrunk);
+    }
+    records_ -= d.count;
+    counts[d.tid] = d.count;
   }
   return counts;
+}
+
+size_t ElementIndex::MemoryBytes() const {
+  size_t bytes = tree_.MemoryBytes();
+  for (auto it = tree_.Begin(); it.Valid(); it.Next()) {
+    bytes += sizeof(std::vector<LocalElement>) +
+             it.value()->capacity() * sizeof(LocalElement);
+  }
+  return bytes;
+}
+
+Status ElementIndex::CheckInvariants() const {
+  LAZYXML_RETURN_NOT_OK(tree_.CheckInvariants());
+  size_t total = 0;
+  for (auto it = tree_.Begin(); it.Valid(); it.Next()) {
+    const ElementScan& run = it.value();
+    LAZYXML_CHECK_OR_INTERNAL(run != nullptr && !run->empty(),
+                              "empty element run");
+    for (size_t i = 1; i < run->size(); ++i) {
+      LAZYXML_CHECK_OR_INTERNAL((*run)[i - 1].start < (*run)[i].start,
+                                "element run not strictly ascending");
+    }
+    total += run->size();
+  }
+  LAZYXML_CHECK_OR_INTERNAL(total == records_, "element record count");
+  return Status::OK();
 }
 
 }  // namespace lazyxml

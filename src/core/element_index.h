@@ -2,16 +2,30 @@
 //
 // The paper keys the tree by the full tuple (tid, sid, start, end,
 // LevelNum); since an element is already univocally identified by
-// (sid, start), we key by (tid, sid, start) and carry (end, level) as the
-// value — same ordering, same scans, smaller comparisons. `start`/`end`
-// are the element's *frozen local* offsets in its segment; they are never
-// touched by later updates, which is the whole point of the lazy scheme.
+// (sid, start), the records are ordered by (tid, sid, start) and carry
+// (end, level) as the value. `start`/`end` are the element's *frozen
+// local* offsets in its segment; they are never touched by later
+// updates, which is the whole point of the lazy scheme.
+//
+// Runs. Records sharing (tid, sid) are written together, when their
+// segment is spliced in, and afterwards only shrink (partial removal) or
+// die (full removal, collapse). So the tree is keyed by (tid, sid) and
+// each value is one immutable *run*: the (tid, sid) records sorted by
+// start. Runs in key order, records in start order inside a run, give
+// exactly the paper's (tid, sid, start) record order, which is what
+// ForEachRecord, the scrubber and the snapshot format walk. A query
+// reads a run in place (GetScan: no copy, no allocation), and a
+// removal installs a shrunk copy instead of editing it (copy-on-write),
+// so a run handed out earlier — to a running join, the scan cache or an
+// MVCC version chain — never changes under its holder.
 
 #ifndef LAZYXML_CORE_ELEMENT_INDEX_H_
 #define LAZYXML_CORE_ELEMENT_INDEX_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
+#include <memory>
 #include <span>
 #include <tuple>
 #include <vector>
@@ -51,14 +65,19 @@ struct ElementIndexRecord {
   uint32_t level = 0;
 };
 
+/// An immutable, shareable element run: one (tag, segment)'s elements in
+/// ascending frozen start order.
+using ElementScan = std::shared_ptr<const std::vector<LocalElement>>;
+
 /// The element index.
 class ElementIndex {
  public:
   explicit ElementIndex(BTreeOptions options = {}) : tree_(options) {}
 
-  /// Indexes a parsed segment's records (local offsets, absolute levels).
-  /// Internally sorts into key order and applies one sorted-batch tree
-  /// insert (one descent per leaf run) instead of one descent per record.
+  /// Indexes a parsed segment's records (local offsets, absolute levels)
+  /// as one run per tag. AlreadyExists if (tid, sid) already has a run;
+  /// InvalidArgument on two records of one tag with the same start.
+  /// Either error leaves the index unchanged.
   Status InsertRecords(SegmentId sid, std::span<const ElementRecord> records);
 
   /// Indexes records spanning several segments/tags in one sorted-batch
@@ -72,11 +91,15 @@ class ElementIndex {
   /// Records may arrive in any order; duplicates are InvalidArgument.
   Status BuildFrom(std::vector<ElementIndexRecord> records);
 
-  /// All (tid, sid) elements in ascending frozen start order.
-  std::vector<LocalElement> GetElements(TagId tid, SegmentId sid) const;
+  /// The (tid, sid) run, in ascending frozen start order: the stored run
+  /// itself, shared, never copied (a shared empty run when there is
+  /// none). It stays valid and unchanged after any later mutation.
+  ElementScan GetScan(TagId tid, SegmentId sid) const;
 
   /// Number of (tid, sid) elements.
-  uint64_t CountElements(TagId tid, SegmentId sid) const;
+  uint64_t CountElements(TagId tid, SegmentId sid) const {
+    return GetScan(tid, sid)->size();
+  }
 
   /// Innermost element of (any tag in `tags`, sid) strictly containing
   /// frozen offset `f`; returns false if none. Used to find the depth of
@@ -92,19 +115,21 @@ class ElementIndex {
 
   /// Deletes records of `sid` lying entirely inside the frozen interval
   /// [begin, end); per-tag counts returned. A record straddling the
-  /// boundary means the removal splits an element: Corruption.
+  /// boundary means the removal splits an element: Corruption, and
+  /// nothing is deleted. Each shrunk run is replaced by a copy.
   Result<RemovedCounts> DeleteRange(SegmentId sid,
                                     std::span<const TagId> tags,
                                     uint64_t begin, uint64_t end);
 
   /// Total records.
-  size_t size() const { return tree_.size(); }
+  size_t size() const { return records_; }
 
-  /// Approximate heap footprint.
-  size_t MemoryBytes() const { return tree_.MemoryBytes(); }
+  /// Approximate heap footprint: the tree plus every run.
+  size_t MemoryBytes() const;
 
-  /// Structural invariants of the backing tree (tests).
-  Status CheckInvariants() const { return tree_.CheckInvariants(); }
+  /// Structural invariants of the backing tree, plus every run non-empty
+  /// and strictly ascending by start, and size() their total (tests).
+  Status CheckInvariants() const;
 
   /// Visits every record in (tid, sid, start) key order; `fn` returning
   /// false stops the walk. For the consistency scrubber.
@@ -112,9 +137,10 @@ class ElementIndex {
       const std::function<bool(const ElementIndexRecord&)>& fn) const {
     for (auto it = tree_.Begin(); it.Valid(); it.Next()) {
       const Key& k = it.key();
-      const Val& v = it.value();
-      if (!fn(ElementIndexRecord{k.tid, k.sid, k.start, v.end, v.level})) {
-        return;
+      for (const LocalElement& e : *it.value()) {
+        if (!fn(ElementIndexRecord{k.tid, k.sid, e.start, e.end, e.level})) {
+          return;
+        }
       }
     }
   }
@@ -129,17 +155,23 @@ class ElementIndex {
   struct Key {
     TagId tid = 0;
     SegmentId sid = 0;
-    uint64_t start = 0;
     bool operator<(const Key& o) const {
-      return std::tie(tid, sid, start) < std::tie(o.tid, o.sid, o.start);
+      return std::tie(tid, sid) < std::tie(o.tid, o.sid);
     }
   };
-  struct Val {
-    uint64_t end = 0;
-    uint32_t level = 0;
-  };
+  using Run = std::pair<Key, ElementScan>;
 
-  BTree<Key, Val> tree_;
+  /// Groups `records` into runs in key order; InvalidArgument on a
+  /// duplicate (tid, sid, start).
+  static Result<std::vector<Run>> MakeRuns(
+      std::vector<ElementIndexRecord> records);
+
+  /// Adds runs for keys not yet present (AlreadyExists otherwise, with
+  /// nothing added).
+  Status InsertRuns(std::vector<Run> runs);
+
+  BTree<Key, ElementScan> tree_;
+  size_t records_ = 0;
 };
 
 }  // namespace lazyxml

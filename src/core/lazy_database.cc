@@ -75,8 +75,7 @@ ElementScan LazyDatabase::GetScan(TagId tid, SegmentId sid) {
       return hit;
     }
   }
-  ElementScan scan =
-      std::make_shared<std::vector<LocalElement>>(index_.GetElements(tid, sid));
+  ElementScan scan = index_.GetScan(tid, sid);
   if (scan_cache_ != nullptr) {
     scan_cache_->Put(tid, sid, mutation_epoch_, scan);
   }
@@ -233,7 +232,8 @@ Status LazyDatabase::RemoveSegmentImpl(uint64_t gp, uint64_t length,
         break;
       }
       for (TagId tid : partial.tags) {
-        for (const LocalElement& el : index_.GetElements(tid, partial.sid)) {
+        const ElementScan run = index_.GetScan(tid, partial.sid);
+        for (const LocalElement& el : *run) {
           if (el.start < partial.frozen_begin || el.end > partial.frozen_end) {
             continue;
           }
@@ -252,21 +252,20 @@ Status LazyDatabase::RemoveSegmentImpl(uint64_t gp, uint64_t length,
 
   if (mutated != nullptr) *mutated = true;
   // MVCC: every (tag, segment) list this removal touches diverges from
-  // its state at earlier epochs — capture the pre-images now, while the
-  // index still holds them, for any open pinned view (docs/MVCC.md).
+  // its state at earlier epochs — hand the runs about to be retired to
+  // any open pinned view (docs/MVCC.md). Removals replace runs instead
+  // of editing them, so the run itself is the pre-image: no copy.
   if (mvcc_.HasOpenViews()) {
     for (const auto& partial : effects.partial) {
       for (TagId tid : partial.tags) {
         mvcc_.CaptureScan(tid, partial.sid, mutation_epoch_,
-                          std::make_shared<std::vector<LocalElement>>(
-                              index_.GetElements(tid, partial.sid)));
+                          index_.GetScan(tid, partial.sid));
       }
     }
     for (const auto& full : effects.full) {
       for (TagId tid : full.tags) {
         mvcc_.CaptureScan(tid, full.sid, mutation_epoch_,
-                          std::make_shared<std::vector<LocalElement>>(
-                              index_.GetElements(tid, full.sid)));
+                          index_.GetScan(tid, full.sid));
       }
     }
   }
@@ -550,11 +549,7 @@ Result<SegmentId> LazyDatabase::CollapseSubtree(SegmentId sid) {
 
   // 1. Globalize every element of the subtree into the new segment's
   //    frozen coordinates (current global offsets relative to the top).
-  struct NewRecord {
-    TagId tid;
-    ElementRecord rec;
-  };
-  std::vector<NewRecord> records;
+  std::vector<ElementRecord> records;
   std::vector<std::pair<SegmentId, std::vector<TagId>>> old_segments;
   std::vector<SegmentNode*> work{top};
   GlobalConverter conv;
@@ -563,21 +558,22 @@ Result<SegmentId> LazyDatabase::CollapseSubtree(SegmentId sid) {
     work.pop_back();
     old_segments.emplace_back(n->sid, n->distinct_tags);
     for (TagId tid : n->distinct_tags) {
-      for (const LocalElement& e : index_.GetElements(tid, n->sid)) {
+      const ElementScan run = index_.GetScan(tid, n->sid);
+      for (const LocalElement& e : *run) {
         const GlobalElement g = conv.ToGlobal(*n, e);
         ElementRecord r;
         r.tid = tid;
         r.start = g.start - base_gp;
         r.end = g.end - base_gp;
         r.level = e.level;
-        records.push_back(NewRecord{tid, r});
+        records.push_back(r);
       }
     }
     for (SegmentNode* c : n->children) work.push_back(c);
   }
   std::sort(records.begin(), records.end(),
-            [](const NewRecord& a, const NewRecord& b) {
-              return a.rec.start < b.rec.start;
+            [](const ElementRecord& a, const ElementRecord& b) {
+              return a.start < b.start;
             });
 
   // MVCC: the old segments' element lists die below — capture their
@@ -586,8 +582,7 @@ Result<SegmentId> LazyDatabase::CollapseSubtree(SegmentId sid) {
     for (const auto& [old_sid, tags] : old_segments) {
       for (TagId tid : tags) {
         mvcc_.CaptureScan(tid, old_sid, mutation_epoch_,
-                          std::make_shared<std::vector<LocalElement>>(
-                              index_.GetElements(tid, old_sid)));
+                          index_.GetScan(tid, old_sid));
       }
     }
   }
@@ -611,9 +606,8 @@ Result<SegmentId> LazyDatabase::CollapseSubtree(SegmentId sid) {
   {
     std::vector<uint32_t> stack;
     for (uint32_t i = 0; i < records.size(); ++i) {
-      const ElementRecord& r = records[i].rec;
-      while (!stack.empty() &&
-             records[stack.back()].rec.end <= r.start) {
+      const ElementRecord& r = records[i];
+      while (!stack.empty() && records[stack.back()].end <= r.start) {
         stack.pop_back();
       }
       NestingEntry e;
@@ -624,11 +618,10 @@ Result<SegmentId> LazyDatabase::CollapseSubtree(SegmentId sid) {
       e.parent = stack.empty() ? kNoParentEntry : stack.back();
       info.node->summary.push_back(e);
       stack.push_back(i);
-      ++counts[records[i].tid];
-      LAZYXML_RETURN_NOT_OK(index_.InsertRecords(
-          info.sid, std::span<const ElementRecord>(&r, 1)));
+      ++counts[r.tid];
     }
   }
+  LAZYXML_RETURN_NOT_OK(index_.InsertRecords(info.sid, records));
   for (const auto& [tid, count] : counts) {
     info.node->distinct_tags.push_back(tid);
     LAZYXML_RETURN_NOT_OK(
@@ -738,7 +731,8 @@ Result<std::unique_ptr<PathSummary>> LazyDatabase::BuildPathSummary(
     }
 
     for (TagId tid : seg->distinct_tags) {
-      for (const LocalElement& el : index.GetElements(tid, seg->sid)) {
+      const ElementScan run = index.GetScan(tid, seg->sid);
+      for (const LocalElement& el : *run) {
         auto it = std::lower_bound(
             seg->summary.begin(), seg->summary.end(), el.start,
             [](const NestingEntry& e, uint64_t t) { return e.start < t; });

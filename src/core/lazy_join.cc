@@ -139,10 +139,7 @@ ElementScan ScanFetcher::Fetch(TagId tid, SegmentId sid,
   // through to the live index (docs/MVCC.md). Both count as store reads.
   ElementScan fresh;
   if (versions_ != nullptr) fresh = versions_->ScanAt(tid, sid);
-  if (fresh == nullptr) {
-    fresh = std::make_shared<std::vector<LocalElement>>(
-        index_->GetElements(tid, sid));
-  }
+  if (fresh == nullptr) fresh = index_->GetScan(tid, sid);
   // The registry mirrors LazyJoinStats here, at the single point a real
   // index read happens — the same place the per-query counter increments,
   // so the two can never drift (the elements_fetched double-count class).
@@ -370,6 +367,15 @@ Status RunJoinPartition(const JoinContext& ctx, const PartitionSeed& seed,
   ScanFetcher fetcher(ctx.index, ctx.cache, ctx.cache_epoch, ctx.compact,
                       ctx.versions);
   SpliceMemo memo(&ctx.resolver);
+
+  // Pre-size the output from the tag-list counts of the partition's
+  // descendant segments: exact for a parent-child join whose every
+  // descendant has its parent, and the first guess otherwise.
+  uint64_t expected = 0;
+  for (size_t id = seed.d_begin; id < seed.d_end; ++id) {
+    expected += sl_d[id].count;
+  }
+  out->pairs.reserve(out->pairs.size() + expected);
 
   // Seed reconstruction: rebuild the entries live at round d_begin. Their
   // cached splice positions are recomputed from the entry directly above

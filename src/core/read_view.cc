@@ -183,11 +183,8 @@ ElementScan SnapshotReader::GetScan(TagId tid, SegmentId sid) {
     if (ElementScan hit = cache_->Get(tid, sid, snap_->epoch)) return hit;
   }
   ElementScan scan = ScanAt(tid, sid);
-  if (scan == nullptr) {
-    // Untouched since the pinned epoch: the live index is still exact.
-    scan = std::make_shared<std::vector<LocalElement>>(
-        live_index_->GetElements(tid, sid));
-  }
+  // Untouched since the pinned epoch: the live index's run is still exact.
+  if (scan == nullptr) scan = live_index_->GetScan(tid, sid);
   if (cache_ != nullptr) cache_->Put(tid, sid, snap_->epoch, scan);
   return scan;
 }

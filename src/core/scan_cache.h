@@ -46,9 +46,6 @@
 
 namespace lazyxml {
 
-/// An immutable, shareable element scan.
-using ElementScan = std::shared_ptr<const std::vector<LocalElement>>;
-
 /// Pinned-epoch override source for element scans (docs/MVCC.md). A join
 /// running against a historical read view consults one of these before
 /// the live element index: a (tag, segment) list that has been mutated

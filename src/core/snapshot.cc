@@ -47,9 +47,9 @@ void SerializeSegment(const SegmentNode& node, const ElementIndex& index,
   }
   // Element records, grouped by tag.
   for (TagId tid : node.distinct_tags) {
-    const auto elems = index.GetElements(tid, node.sid);
-    w->PutU64(elems.size());
-    for (const LocalElement& e : elems) {
+    const ElementScan elems = index.GetScan(tid, node.sid);
+    w->PutU64(elems->size());
+    for (const LocalElement& e : *elems) {
       w->PutU64(e.start);
       w->PutU64(e.end);
       w->PutU32(e.level);

@@ -163,8 +163,9 @@ void DropEmpty(TagSets* sets) {
 }
 
 /// Membership probe into one set. Remembers the run of the last probed
-/// segment, so a run of pairs from one segment binary-searches only that
-/// segment's elements.
+/// segment and a finger at the last hit inside it: a probe gallops from
+/// the finger toward its target, so a run of ascending probes into one
+/// segment costs O(log distance) each instead of a bisection of the run.
 class Probe {
  public:
   static constexpr size_t kMissing = ~size_t{0};
@@ -190,22 +191,47 @@ class Probe {
       sid_ = sid;
       begin_ = static_cast<size_t>(lo - refs.begin());
       end_ = static_cast<size_t>(hi - refs.begin());
+      finger_ = begin_;
     }
-    const auto first = refs.begin() + static_cast<ptrdiff_t>(begin_);
-    const auto last = refs.begin() + static_cast<ptrdiff_t>(end_);
-    const auto it = std::lower_bound(
-        first, last, start,
-        [](const LazyElementRef& r, uint64_t s) { return r.start < s; });
-    if (it == last || it->start != start) return kMissing;
-    return static_cast<size_t>(it - refs.begin());
+    finger_ = Gallop(start);
+    if (finger_ == end_ || refs[finger_].start != start) return kMissing;
+    return finger_;
   }
 
  private:
+  /// First index in [begin_, end_) whose start is >= `start` (end_ if
+  /// none), found by exponential steps from finger_ and a bisection of
+  /// the last step.
+  size_t Gallop(uint64_t start) const {
+    const std::vector<LazyElementRef>& refs = set_.refs;
+    const size_t f = finger_;
+    size_t lo = 0;
+    size_t hi = 0;  // the answer lies in [lo, hi]
+    size_t bound = 1;
+    if (f < end_ && refs[f].start < start) {
+      while (f + bound < end_ && refs[f + bound].start < start) bound *= 2;
+      lo = f + bound / 2 + 1;
+      hi = std::min(f + bound, end_);
+    } else {
+      while (f >= begin_ + bound && refs[f - bound].start >= start) {
+        bound *= 2;
+      }
+      lo = f >= begin_ + bound ? f - bound + 1 : begin_;
+      hi = f - bound / 2;
+    }
+    const auto it = std::lower_bound(
+        refs.begin() + static_cast<ptrdiff_t>(lo),
+        refs.begin() + static_cast<ptrdiff_t>(hi), start,
+        [](const LazyElementRef& r, uint64_t s) { return r.start < s; });
+    return static_cast<size_t>(it - refs.begin());
+  }
+
   const ElementSet& set_;
   bool have_run_ = false;
   SegmentId sid_ = 0;
   size_t begin_ = 0;
   size_t end_ = 0;
+  size_t finger_ = 0;
 };
 
 // ---------------------------------------------------------------------------
@@ -281,13 +307,19 @@ struct Evaluator {
   Result<TagSets> Forward(const TagSets& ctx, const XPathStep& step,
                           const std::vector<uint32_t>* match) {
     TagSets out;
+    std::vector<const std::vector<LazyJoinPair>*> joins(ctx.size());
     for (TagId d : CandidateTags(step, match)) {
       ElementSet next{d, false, {}};
-      for (const ElementSet& a : ctx) {
-        LAZYXML_ASSIGN_OR_RETURN(const std::vector<LazyJoinPair>* pairs,
-                                 Join(a.tid, d, !step.descendant_axis));
-        Probe probe(a);
-        for (const LazyJoinPair& p : *pairs) {
+      size_t total = 0;
+      for (size_t k = 0; k < ctx.size(); ++k) {
+        LAZYXML_ASSIGN_OR_RETURN(joins[k],
+                                 Join(ctx[k].tid, d, !step.descendant_axis));
+        total += joins[k]->size();
+      }
+      next.refs.reserve(total);
+      for (size_t k = 0; k < ctx.size(); ++k) {
+        Probe probe(ctx[k]);
+        for (const LazyJoinPair& p : *joins[k]) {
           if (!probe.Contains(p.ancestor_sid, p.ancestor_start)) continue;
           const LazyElementRef r{p.descendant_sid, p.descendant_start};
           if (next.refs.empty() || !(next.refs.back() == r)) {
@@ -390,8 +422,12 @@ struct Evaluator {
 
   /// Turns an "every element" set into its sorted element list.
   void Materialize(ElementSet* set) {
-    for (const TagListEntry& e :
-         db->update_log().tag_list().EntriesFor(set->tid)) {
+    const std::span<const TagListEntry> entries =
+        db->update_log().tag_list().EntriesFor(set->tid);
+    uint64_t total = 0;
+    for (const TagListEntry& e : entries) total += e.count;
+    set->refs.reserve(total);
+    for (const TagListEntry& e : entries) {
       ElementScan scan = db->GetScan(set->tid, e.sid());
       for (const LocalElement& el : *scan) {
         set->refs.push_back(LazyElementRef{e.sid(), el.start});
@@ -436,9 +472,15 @@ struct Evaluator {
       LAZYXML_ASSIGN_OR_RETURN(cur, Forward(cur, steps[i], match(i)));
       LAZYXML_RETURN_NOT_OK(ApplyPredicates(&cur, steps[i]));
     }
-    GlobalConverter conv;
+    size_t total = 0;
     for (ElementSet& set : cur) {
       if (set.all) Materialize(&set);
+      total += set.refs.size();
+    }
+    result.refs.reserve(total);
+    if (global) result.elements.reserve(total);
+    GlobalConverter conv;
+    for (const ElementSet& set : cur) {
       if (global) {
         LAZYXML_RETURN_NOT_OK(Globalize(set, &conv, &result.elements));
       }

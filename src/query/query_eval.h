@@ -8,9 +8,11 @@
 //
 // Semi-joins. Each axis step and each predicate is a semi-join over the
 // Lazy-Join pair vector of one (context tag, step tag) edge; a query
-// joins each distinct edge once. Membership tests are binary searches in
-// the sorted sets, narrowed to the probed segment's run and remembered
-// while consecutive pairs stay in that segment. Forward steps collect
+// joins each distinct edge once. Membership tests are finger searches in
+// the sorted sets: narrowed to the probed segment's run (remembered while
+// consecutive pairs stay in that segment), they gallop from the last hit,
+// so the mostly ascending probes of one segment's pairs cost O(log
+// distance) each instead of a bisection of the run. Forward steps collect
 // descendants; predicates (evaluated bottom-up, so a nested chain is a
 // cascade of the same semi-join) mark ancestors in a byte mask over the
 // context set, or collect them when the context is still "every

@@ -17,12 +17,7 @@ Result<std::unique_ptr<ServerEngine>> ServerEngine::Open(
   LAZYXML_ASSIGN_OR_RETURN(
       std::unique_ptr<DurableLazyDatabase> dur,
       DurableLazyDatabase::Open(options.data_dir, options.durable));
-  // The effective mode comes from the opened database (an existing
-  // directory's snapshot wins over the requested options).
-  const bool lazy_static =
-      dur->database().update_log().mode() == LogMode::kLazyStatic;
-  return std::unique_ptr<ServerEngine>(
-      new ServerEngine(std::move(dur), lazy_static));
+  return std::unique_ptr<ServerEngine>(new ServerEngine(std::move(dur)));
 }
 
 Result<SegmentId> ServerEngine::Append(std::string_view text,
@@ -81,13 +76,19 @@ Status ServerEngine::Freeze() {
 Result<XPathResult> ServerEngine::Xpath(std::string_view expr,
                                         QuerySyntax syntax) {
   if (mem_ != nullptr) return mem_->Xpath(expr, syntax);
-  if (dur_lazy_static_) {
-    // An LS query freezes (and journals the freeze point) — exclusive.
-    std::unique_lock lock(dur_mu_);
-    LAZYXML_RETURN_NOT_OK(dur_->Freeze());
-    return EvaluateQuery(&dur_->database(), syntax, expr);
+  // The routing of ConcurrentLazyDatabase::ReadQuery: shared while no
+  // pre-query work is pending, else exclusive to do it first — journal an
+  // LS freeze point, then rebuild a stale compact index or path summary —
+  // so a query never rebuilds either under the shared lock.
+  {
+    std::shared_lock lock(dur_mu_);
+    if (!dur_->database().QueryNeedsExclusive()) {
+      return EvaluateQuery(&dur_->database(), syntax, expr);
+    }
   }
-  std::shared_lock lock(dur_mu_);
+  std::unique_lock lock(dur_mu_);
+  LAZYXML_RETURN_NOT_OK(dur_->Freeze());
+  dur_->database().Freeze();
   return EvaluateQuery(&dur_->database(), syntax, expr);
 }
 

@@ -7,8 +7,10 @@
 //   durable     wraps DurableLazyDatabase (which is deliberately not
 //               thread-safe; storage/durable_database.h) and applies the
 //               *same* locking discipline here: updates and maintenance
-//               exclusive, queries shared in LD mode, exclusive in LS
-//               mode (where a query journals the freeze, i.e. mutates).
+//               exclusive; queries shared unless
+//               LazyDatabase::QueryNeedsExclusive() reports pending work
+//               (an LS freeze to journal, a stale compact index or path
+//               summary), which they do first under the exclusive lock.
 //
 // Command execution (server/command.cc) calls only this class, so the
 // wire/command layers never care which shape is behind them.
@@ -95,15 +97,14 @@ class ServerEngine {
  private:
   explicit ServerEngine(std::unique_ptr<ConcurrentLazyDatabase> mem)
       : mem_(std::move(mem)) {}
-  ServerEngine(std::unique_ptr<DurableLazyDatabase> dur, bool lazy_static)
-      : dur_(std::move(dur)), dur_lazy_static_(lazy_static) {}
+  explicit ServerEngine(std::unique_ptr<DurableLazyDatabase> dur)
+      : dur_(std::move(dur)) {}
 
   // Exactly one of the two is set.
   std::unique_ptr<ConcurrentLazyDatabase> mem_;
   std::unique_ptr<DurableLazyDatabase> dur_;
   /// Durable-mode lock (same discipline as ConcurrentLazyDatabase).
   TicketSharedMutex dur_mu_;
-  bool dur_lazy_static_ = false;
 };
 
 }  // namespace server

@@ -179,6 +179,13 @@ TEST(CompactTagScanTest, EncodeRejectsInvalidInput) {
   EXPECT_FALSE(CompactTagScan::Encode(
                    std::vector<LocalElement>{{9, 12, 0}, {5, 10, 0}})
                    .ok());
+  // An extent one past INT64_MAX cannot be stored as a signed delta.
+  const uint64_t too_wide =
+      static_cast<uint64_t>(std::numeric_limits<int64_t>::max()) + 1;
+  EXPECT_TRUE(CompactTagScan::Encode(
+                  std::vector<LocalElement>{{0, too_wide, 0}})
+                  .status()
+                  .IsInvalidArgument());
 }
 
 TEST(CompactTagScanTest, BlockGeometryInvariantsOnLargeList) {
@@ -297,7 +304,7 @@ TEST(CompactElementIndexTest, BuildMatchesTreeScansOnSyntheticIndex) {
   compact.ForEachList([&](TagId tid, SegmentId sid,
                           const CompactTagScan& scan) {
     ++lists;
-    ExpectDecodesTo(scan, idx.GetElements(tid, sid));
+    ExpectDecodesTo(scan, *idx.GetScan(tid, sid));
     return true;
   });
   EXPECT_EQ(lists, compact.num_lists());
@@ -332,7 +339,7 @@ TEST(CompactElementIndexTest, XMarkChoppedDatabaseRoundTripsAndCompresses) {
   EXPECT_EQ(compact->total_records(), idx.size());
   compact->ForEachList([&](TagId tid, SegmentId sid,
                            const CompactTagScan& scan) {
-    ExpectDecodesTo(scan, idx.GetElements(tid, sid));
+    ExpectDecodesTo(scan, *idx.GetScan(tid, sid));
     return true;
   });
   // The acceptance bar: >= 3x smaller than the frozen B+-tree footprint.
@@ -351,7 +358,7 @@ TEST(CompactElementIndexTest, XMarkChoppedDatabaseRoundTripsAndCompresses) {
   EXPECT_EQ(restored.ValueOrDie()->total_records(), idx.size());
   restored.ValueOrDie()->ForEachList(
       [&](TagId tid, SegmentId sid, const CompactTagScan& scan) {
-        ExpectDecodesTo(scan, idx.GetElements(tid, sid));
+        ExpectDecodesTo(scan, *idx.GetScan(tid, sid));
         return true;
       });
 

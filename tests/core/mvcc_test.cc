@@ -88,6 +88,24 @@ TEST(MvccTest, ReadViewIsolatedFromLaterWrites) {
   EXPECT_TRUE(db.CheckInvariants().ok());
 }
 
+// A removal that takes only part of a (tag, segment) list replaces the
+// list with a shrunk copy; the view's pre-image is the list it replaced,
+// which must keep every element.
+TEST(MvccTest, ReadViewIsolatedFromPartialRemoval) {
+  ConcurrentLazyDatabase db;
+  ASSERT_TRUE(db.InsertSegment("<seg><A><D/></A><A><D/></A></seg>", 0).ok());
+  auto view_or = db.OpenView();
+  ASSERT_TRUE(view_or.ok());
+  ReadView view = std::move(view_or).ValueOrDie();
+  const auto before = view.JoinGlobal("A", "D").ValueOrDie();
+  ASSERT_EQ(before.size(), 2u);
+
+  ASSERT_TRUE(db.RemoveSegment(16, 11).ok());  // the second <A><D/></A>
+  EXPECT_EQ(db.JoinGlobal("A", "D").ValueOrDie().size(), 1u);
+  EXPECT_EQ(view.JoinGlobal("A", "D").ValueOrDie(), before);
+  EXPECT_TRUE(db.CheckInvariants().ok());
+}
+
 TEST(MvccTest, ReadViewSurvivesCompaction) {
   ConcurrentLazyDatabase db;
   ASSERT_TRUE(db.InsertSegment(kBase, 0).ok());

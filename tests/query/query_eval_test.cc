@@ -185,7 +185,8 @@ void ExpectConverterMatchesLinearWalk(const LazyDatabase& db) {
       }
     }
     for (TagId tid : n->distinct_tags) {
-      for (const LocalElement& e : db.element_index().GetElements(tid, n->sid)) {
+      const ElementScan run = db.element_index().GetScan(tid, n->sid);
+      for (const LocalElement& e : *run) {
         const GlobalElement g = conv.ToGlobal(*n, e);
         ASSERT_EQ(g.start, n->FrozenToGlobal(e.start, true));
         ASSERT_EQ(g.end, n->FrozenToGlobal(e.end, false));

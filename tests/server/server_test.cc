@@ -531,6 +531,79 @@ TEST(ServerDurableTest, ScriptedSessionMatchesInProcess) {
   EXPECT_EQ(server_bytes.ValueOrDie(), direct_bytes.ValueOrDie());
 }
 
+// A durable query with pending pre-query work takes the lock exclusive
+// and does that work before it evaluates, like ConcurrentLazyDatabase:
+// here a rejected insert leaves the path summary and the compact index
+// stale, and the next query must still see a summary fresh at the
+// current epoch, which proves the pattern empty without a join.
+TEST(ServerDurableTest, QueryRebuildsStaleSummaryAndCompactIndexFirst) {
+  ServerEngineOptions eng_options;
+  eng_options.data_dir = FreshDir("dur_stale_query");
+  eng_options.db.query.use_compact_index = true;
+  auto e = ServerEngine::Open(eng_options);
+  ASSERT_TRUE(e.ok()) << e.status().ToString();
+  ServerEngine& engine = *e.ValueOrDie();
+  uint64_t gp = 0;
+  ASSERT_TRUE(engine.Append("<r><a><b/></a><a/></r>", &gp).ok());
+  auto first = engine.Xpath("b//a", QuerySyntax::kPath);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_TRUE(first.ValueOrDie().summary_empty);
+
+  // Out of bounds: rejected after the epoch bump, which stales both.
+  EXPECT_FALSE(engine.Insert("<a/>", 1000).ok());
+  auto after = engine.Xpath("b//a", QuerySyntax::kPath);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_TRUE(after.ValueOrDie().summary_empty);
+  EXPECT_EQ(after.ValueOrDie().joins_executed, 0u);
+  auto rows = engine.Xpath("r/a", QuerySyntax::kPath);
+  ASSERT_TRUE(rows.ok());
+  EXPECT_EQ(rows.ValueOrDie().refs.size(), 2u);
+  auto report = engine.Check();
+  ASSERT_TRUE(report.ok());
+  EXPECT_TRUE(report.ValueOrDie().ok()) << report.ValueOrDie().ToString();
+}
+
+// Readers query a durable LD engine with the compact index on while a
+// writer appends: every write stales the compact index, and no query
+// may rebuild it under the shared lock (TSan).
+TEST(ServerDurableTest, CompactIndexQueriesUnderWritesStorm) {
+  ServerEngineOptions eng_options;
+  eng_options.data_dir = FreshDir("dur_compact_storm");
+  eng_options.db.query.use_compact_index = true;
+  auto e = ServerEngine::Open(eng_options);
+  ASSERT_TRUE(e.ok()) << e.status().ToString();
+  ServerEngine& engine = *e.ValueOrDie();
+  ASSERT_TRUE(engine.Append("<r><a><b/></a></r>", nullptr).ok());
+
+  constexpr int kWrites = 40;
+  std::atomic<bool> done{false};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 2; ++t) {
+    readers.emplace_back([&] {
+      uint64_t last = 0;
+      while (!done.load()) {
+        auto r = engine.Xpath("a//b", QuerySyntax::kPath);
+        // Appends only add pairs, so the count never falls.
+        if (!r.ok() || r.ValueOrDie().refs.size() < last) {
+          ++failures;
+          return;
+        }
+        last = r.ValueOrDie().refs.size();
+      }
+    });
+  }
+  for (int i = 0; i < kWrites; ++i) {
+    if (!engine.Append("<a><b/></a>", nullptr).ok()) ++failures;
+  }
+  done.store(true);
+  for (auto& t : readers) t.join();
+  EXPECT_EQ(failures.load(), 0);
+  auto r = engine.Xpath("a//b", QuerySyntax::kPath);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r.ValueOrDie().refs.size(), static_cast<size_t>(kWrites + 1));
+}
+
 }  // namespace
 }  // namespace server
 }  // namespace lazyxml
