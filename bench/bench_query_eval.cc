@@ -7,20 +7,28 @@
 //    segments, default query options (path summary on). No server, lock
 //    or writer. The label names the template.
 //  * BM_Join/<i>: one Lazy-Join edge of those templates (JoinByName,
-//    serial, path summary on) on the same corpus; `pairs` is its output
-//    size. The label names the edge.
+//    path summary on) on the same corpus; `pairs` is its output size.
+//    The label names the edge. item/incategory, item/location and
+//    regions//item join few elements in each of many segment rounds, so
+//    they time the kernel's fixed cost per round.
 //  * BM_Scan/<i>: fetching every (tag, segment) element list of one tag
-//    through the query facade (LazyDatabase::GetScan, no scan cache), as
-//    the joins and the evaluator do. The `per_elem` counter is the time
-//    per element fetched.
+//    through the query facade (LazyDatabase::GetScan), as the joins and
+//    the evaluator do. The `per_elem` counter is the time per element
+//    fetched.
 //  * BM_GlobalConvert/<children>/<batched>: converting every element of a
 //    1000-element segment with `children` child segments spliced between
 //    its elements to global offsets — batched (GlobalConverter, two binary
 //    searches per offset) vs the linear walk (SegmentNode::FrozenToGlobal).
 //    The `per_elem` counter is the time per converted element.
+//  * BM_SerialJoinObs/<on>: metrics-registry overhead — the Fig. 12
+//    cross-join workload (balanced ER-tree, 400 segments, 60 000 A//D
+//    pairs) joined with the process-wide registry enabled (obs_on) vs
+//    disabled (obs_off). `--quick` shrinks the workload for CI's
+//    metrics-overhead smoke, which bounds the obs_on/obs_off ratio.
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <benchmark/benchmark.h>
@@ -32,6 +40,13 @@
 #include "xmlgen/xmark_generator.h"
 
 namespace lazyxml {
+
+// --quick (CI smoke mode, see .github/workflows/ci.yml): a join workload
+// an order of magnitude smaller for BM_SerialJoinObs, sized so the
+// metrics-overhead check runs in seconds on a shared runner while each
+// join still does real work.
+bool g_quick = false;
+
 namespace {
 
 struct Template {
@@ -134,7 +149,8 @@ const std::vector<Edge>& Edges() {
   static const std::vector<Edge> kEdges = {
       {"person", "phone", false},    {"profile", "interest", false},
       {"watches", "watch", false},   {"person", "address", true},
-      {"address", "city", true},
+      {"address", "city", true},     {"item", "incategory", true},
+      {"item", "location", true},    {"regions", "item", false},
   };
   return kEdges;
 }
@@ -156,7 +172,7 @@ void BM_Join(benchmark::State& state) {
                  e.descendant);
 }
 BENCHMARK(BM_Join)
-    ->DenseRange(0, 4)
+    ->DenseRange(0, 7)
     ->Unit(benchmark::kMicrosecond);
 
 const std::vector<const char*>& ScanTags() {
@@ -238,7 +254,68 @@ BENCHMARK(BM_GlobalConvert)
     ->ArgsProduct({{10, 100, 999}, {1, 0}})
     ->Unit(benchmark::kMicrosecond);
 
+/// The Fig. 12 cross-join workload (balanced ER-tree), built once.
+LazyDatabase* JoinWorkloadDatabase() {
+  static LazyDatabase* db = [] {
+    JoinWorkloadConfig cfg;
+    cfg.num_segments = g_quick ? 50 : 400;
+    cfg.shape = ErTreeShape::kBalanced;
+    cfg.total_joins = g_quick ? 3000 : 60000;
+    cfg.cross_fraction = 0.6;
+    cfg.num_a_elements = g_quick ? 10000 : 200000;
+    cfg.num_d_elements = g_quick ? 10000 : 200000;
+    auto plan = BuildJoinWorkload(cfg);
+    LAZYXML_CHECK(plan.ok());
+    return bench::BuildDatabase(plan.ValueOrDie().insertions,
+                                LogMode::kLazyDynamic)
+        .release();
+  }();
+  return db;
+}
+
+// The join path writes a handful of instruments per query — the two
+// labels must agree within run-to-run noise, which CI's metrics-overhead
+// smoke asserts with a generous bound (see docs/OBSERVABILITY.md
+// "Overhead").
+void BM_SerialJoinObs(benchmark::State& state) {
+  LazyDatabase* db = JoinWorkloadDatabase();
+  const size_t expected = bench::RunLazyQuery(db, "A", "D");
+  const bool obs_on = state.range(0) != 0;
+  obs::MetricsRegistry::Global().SetEnabled(obs_on);
+  size_t pairs = 0;
+  for (auto _ : state) {
+    pairs = bench::RunLazyQuery(db, "A", "D");
+    benchmark::DoNotOptimize(pairs);
+  }
+  obs::MetricsRegistry::Global().SetEnabled(true);
+  LAZYXML_CHECK(pairs == expected);
+  state.counters["pairs"] = static_cast<double>(pairs);
+  state.SetLabel(obs_on ? "obs_on" : "obs_off");
+}
+BENCHMARK(BM_SerialJoinObs)
+    ->Arg(1)
+    ->Arg(0)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
 }  // namespace
 }  // namespace lazyxml
 
-BENCHMARK_MAIN();
+// Custom main: google-benchmark rejects flags it does not know, so the
+// CI smoke mode's --quick is stripped (and applied) before Initialize.
+int main(int argc, char** argv) {
+  int kept = 1;
+  for (int i = 1; i < argc; ++i) {
+    if (std::string_view(argv[i]) == "--quick") {
+      lazyxml::g_quick = true;
+    } else {
+      argv[kept++] = argv[i];
+    }
+  }
+  argc = kept;
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

@@ -7,11 +7,9 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
-#include <vector>
 
 #include "common/crc32c.h"
 #include "common/serial.h"
-#include "core/compact_index.h"
 #include "core/lazy_database.h"
 #include "core/snapshot.h"
 #include "server/wire.h"
@@ -45,8 +43,7 @@ int main(int argc, char** argv) {
   namespace fs = std::filesystem;
   const fs::path out(argv[1]);
   for (const char* sub :
-       {"parser", "wal", "snapshot", "ops", "wire", "command", "compact",
-        "xpath"}) {
+       {"parser", "wal", "snapshot", "ops", "wire", "command", "xpath"}) {
     std::error_code ec;
     fs::create_directories(out / sub, ec);
     if (ec) {
@@ -138,32 +135,6 @@ int main(int argc, char** argv) {
                         pad("REMOVE 6 14") + pad("BATCH COMMIT") +
                         pad("BATCH ABORT") + pad("FREEZE") + pad("COMPACT") +
                         pad("CHECK") + pad("METRICS JSON") + pad("QUIT"));
-  }
-
-  // Compact-index seeds: one real serialized CompactTagScan (so phase 1
-  // of fuzz_compact mutates from a valid stream) and one raw decision
-  // stream for the synthesized-encoder phase.
-  {
-    std::vector<LocalElement> elems;
-    uint64_t start = 3;
-    for (int i = 0; i < 2000; ++i) {
-      elems.push_back(LocalElement{start, start + 2 + (i % 37),
-                                   static_cast<uint32_t>(i % 9)});
-      start += 1 + (i % 5);
-    }
-    auto scan = CompactTagScan::Encode(elems);
-    if (scan.ok()) {
-      ByteWriter w;
-      scan.ValueOrDie().SerializeTo(&w);
-      ok &= WriteFile(out / "compact" / "two-kiloblock.bin", w.TakeBuffer());
-    } else {
-      ok = false;
-    }
-    std::string decisions;
-    for (int i = 0; i < 120; ++i) {
-      decisions.push_back(static_cast<char>(i * 29 + 5));
-    }
-    ok &= WriteFile(out / "compact" / "decisions.bin", decisions);
   }
 
   // XPath seeds: valid expressions over the fuzz_xpath document's tags

@@ -385,83 +385,6 @@ inline Result<CheckReport> CheckDatabase(const LazyDatabase& db) {
   }
   report.BumpChecksRun();
 
-  // ---- (b5) compact index ↔ element index (invariant I-COMPACT) ----------
-  // When a succinct frozen index is installed for the current epoch, its
-  // decoded lists must be record-for-record equal to the B+-tree — that
-  // equality is what makes compact-scan joins byte-identical to tree-scan
-  // joins (docs/COMPACT_INDEX.md).
-  if (const CompactElementIndex* compact = db.compact_index()) {
-    uint64_t lists_seen = 0;
-    compact->ForEachList([&](TagId tid, SegmentId sid,
-                             const CompactTagScan& scan) {
-      report.BumpObjectsScanned();
-      ++lists_seen;
-      if (index_counts.find({tid, sid}) == index_counts.end()) {
-        std::ostringstream os;
-        os << "compact list (tag " << tid << ", segment " << sid
-           << ") has no element-index records";
-        report.AddError("compact_index", "phantom-list", os.str(), sid);
-        return true;
-      }
-      std::vector<LocalElement> decoded;
-      Status st = scan.DecodeAll(&decoded);
-      if (!st.ok()) {
-        std::ostringstream os;
-        os << "compact list (tag " << tid << ", segment " << sid
-           << ") fails to decode: " << st.ToString();
-        report.AddError("compact_index", "decode-failure", os.str(), sid);
-        return true;
-      }
-      const ElementScan run = index.GetScan(tid, sid);
-      const std::vector<LocalElement>& tree = *run;
-      if (decoded.size() != tree.size()) {
-        std::ostringstream os;
-        os << "compact list (tag " << tid << ", segment " << sid
-           << ") decodes " << decoded.size() << " record(s) but the element"
-           << " index holds " << tree.size();
-        report.AddError("compact_index", "record-mismatch", os.str(), sid);
-        return true;
-      }
-      for (size_t i = 0; i < decoded.size(); ++i) {
-        if (decoded[i].start != tree[i].start ||
-            decoded[i].end != tree[i].end ||
-            decoded[i].level != tree[i].level) {
-          std::ostringstream os;
-          os << "compact list (tag " << tid << ", segment " << sid
-             << ") record " << i << " decodes to [" << decoded[i].start
-             << ", " << decoded[i].end << ") level " << decoded[i].level
-             << " but the element index holds [" << tree[i].start << ", "
-             << tree[i].end << ") level " << tree[i].level;
-          report.AddError("compact_index", "record-mismatch", os.str(), sid);
-          break;  // one finding per list is enough
-        }
-      }
-      return true;
-    });
-    for (const auto& [key, count] : index_counts) {
-      if (compact->GetList(key.first, key.second) == nullptr) {
-        std::ostringstream os;
-        os << "element index holds " << count << " record(s) of tag "
-           << key.first << " in segment " << key.second
-           << " with no compact list";
-        report.AddError("compact_index", "list-miss", os.str(), key.second);
-      }
-    }
-    if (compact->total_records() != index.size()) {
-      std::ostringstream os;
-      os << "compact index declares " << compact->total_records()
-         << " record(s) but the element index holds " << index.size();
-      report.AddError("compact_index", "count-mismatch", os.str());
-    }
-    if (compact->num_lists() != lists_seen) {
-      std::ostringstream os;
-      os << "compact index declares " << compact->num_lists()
-         << " list(s) but enumerates " << lists_seen;
-      report.AddError("compact_index", "count-mismatch", os.str());
-    }
-    report.BumpChecksRun();
-  }
-
   // ---- (b6) path summary ↔ live structure (invariant I-SUMMARY) ----------
   // When a summary is installed for the current epoch, its canonical form
   // (every node's root path, element count, and per-segment breakdown)

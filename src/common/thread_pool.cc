@@ -32,22 +32,11 @@ size_t ThreadPool::DefaultThreadCount() {
   return hw == 0 ? 4 : hw;
 }
 
-namespace {
-std::atomic<ThreadPool*> g_shared_override{nullptr};
-}  // namespace
-
 ThreadPool* ThreadPool::Shared() {
-  if (ThreadPool* o = g_shared_override.load(std::memory_order_acquire)) {
-    return o;
-  }
   // Leaked on purpose: joining workers from a static destructor races
   // with other static teardown; the OS reclaims the threads at exit.
   static ThreadPool* const shared = new ThreadPool(DefaultThreadCount());
   return shared;
-}
-
-void ThreadPool::SetSharedForTesting(ThreadPool* pool) {
-  g_shared_override.store(pool, std::memory_order_release);
 }
 
 void ThreadPool::Submit(std::function<void()> fn) {
@@ -131,56 +120,6 @@ void ThreadPool::WorkerLoop(size_t self) {
         pending_.load(std::memory_order_acquire) == 0) {
       return;
     }
-  }
-}
-
-void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
-  LAZYXML_METRIC_COUNTER(pfor_counter, "thread_pool.parallel_fors");
-  LAZYXML_METRIC_COUNTER(pfor_items_counter, "thread_pool.parallel_for_items");
-  pfor_counter.Increment();
-  pfor_items_counter.Add(n);
-  if (n == 0) return;
-  if (n == 1) {
-    fn(0);
-    return;
-  }
-  struct Batch {
-    std::atomic<size_t> next{0};
-    std::atomic<size_t> done{0};
-    std::mutex mu;
-    std::condition_variable cv;
-  };
-  auto batch = std::make_shared<Batch>();
-  auto drain = [batch, n, &fn] {
-    for (;;) {
-      const size_t i = batch->next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= n) break;
-      fn(i);
-      if (batch->done.fetch_add(1, std::memory_order_acq_rel) + 1 == n) {
-        std::lock_guard<std::mutex> l(batch->mu);
-        batch->cv.notify_all();
-      }
-    }
-  };
-  // One runner per worker is enough: each runner drains the shared
-  // counter. The caller is the (num_threads+1)-th runner — it always
-  // participates, so ParallelFor completes even on a saturated pool.
-  const size_t runners = std::min(n - 1, num_threads());
-  for (size_t r = 0; r < runners; ++r) {
-    // The std::function copy captures the batch keep-alive but must not
-    // capture `fn` by reference past return — runners that lose the race
-    // for iterations exit immediately, and the caller only returns once
-    // done == n, at which point no runner can touch `fn` again: a runner
-    // either claimed an index < n before (and bumped done after fn), or
-    // sees next >= n and never dereferences fn.
-    Submit([drain] { drain(); });
-  }
-  drain();
-  if (batch->done.load(std::memory_order_acquire) != n) {
-    std::unique_lock<std::mutex> l(batch->mu);
-    batch->cv.wait(l, [&] {
-      return batch->done.load(std::memory_order_acquire) == n;
-    });
   }
 }
 

@@ -1,16 +1,14 @@
-// ThreadPool: a reusable work-stealing thread pool for query execution.
+// ThreadPool: a reusable work-stealing thread pool for request execution.
 //
 // Each worker owns a deque; Submit distributes tasks round-robin, a
 // worker pops its own deque LIFO (cache-warm) and steals FIFO from a
 // victim when empty (oldest task first, the classic work-stealing
-// discipline). ParallelFor additionally lets the *calling* thread claim
-// iterations, so a pool is never a deadlock hazard for nested or
-// re-entrant use: the caller always makes progress on its own batch even
-// when every worker is busy with somebody else's.
+// discipline).
 //
 // The pool is deliberately small and dependency-free (std::thread only):
-// query parallelism in this codebase is fork/join over pre-partitioned
-// ranges (core/parallel_join.h), not a general task graph.
+// parallelism in this codebase is between requests — the server runs
+// each session's commands as pool tasks (server/server.h) — while every
+// query runs serially on the task that carries it.
 
 #ifndef LAZYXML_COMMON_THREAD_POOL_H_
 #define LAZYXML_COMMON_THREAD_POOL_H_
@@ -44,13 +42,6 @@ class ThreadPool {
   /// Enqueues `fn` for asynchronous execution. Thread-safe.
   void Submit(std::function<void()> fn);
 
-  /// Runs `fn(0) ... fn(n-1)`, distributing iterations over the workers
-  /// *and* the calling thread; returns when all `n` calls completed.
-  /// Iterations are claimed dynamically (atomic counter), so uneven
-  /// per-iteration cost self-balances. Thread-safe and re-entrant: a task
-  /// running on a worker may itself call ParallelFor.
-  void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
-
   /// Blocks until every task submitted so far has finished running (both
   /// queued and claimed-but-executing tasks). Tasks submitted by other
   /// threads *while* waiting extend the wait — this is a drain barrier
@@ -63,17 +54,11 @@ class ThreadPool {
 
   /// The process-wide shared pool (DefaultThreadCount workers), created
   /// on first use and intentionally leaked — workers must not be join'd
-  /// during static destruction. All databases configured with
-  /// num_threads == 0 execute on this one pool, so a process with many
-  /// databases runs DefaultThreadCount workers total, not per database
-  /// (docs/PARALLELISM.md). Never destroyed; safe to call concurrently.
+  /// during static destruction. Every server configured with
+  /// num_threads == 0 runs on this one pool, so a process with several
+  /// servers runs DefaultThreadCount workers total, not per server.
+  /// Never destroyed; safe to call concurrently.
   static ThreadPool* Shared();
-
-  /// Tests only: substitutes `pool` for the shared pool (nullptr
-  /// restores the real one). The caller keeps ownership and must
-  /// outlive every database using the override. Not thread-safe
-  /// against concurrent Shared() users mid-swap.
-  static void SetSharedForTesting(ThreadPool* pool);
 
  private:
   struct Worker {

@@ -6,10 +6,10 @@
 // concurrently. Queries route by LazyDatabase::QueryNeedsExclusive():
 // they share the lock whenever the state is already serviceable and take
 // it exclusively only while deferred pre-query work is pending — an LS
-// freeze, a stale compact index or path summary rebuild. In particular
-// an LS database pays one exclusive freeze after a write burst and every
-// later query runs shared (queries no longer serialize forever just
-// because the *mode* is LS).
+// freeze or a stale path summary rebuild. In particular an LS database
+// pays one exclusive freeze after a write burst and every later query
+// runs shared (queries no longer serialize forever just because the
+// *mode* is LS).
 //
 // Snapshot isolation (docs/MVCC.md): OpenView() pins the current state
 // and returns a ReadView whose queries all observe exactly that state —
@@ -52,13 +52,6 @@ class ConcurrentLazyDatabase {
   ConcurrentLazyDatabase& operator=(const ConcurrentLazyDatabase&) = delete;
 
  private:
-  /// Caller holds the exclusive lock. See the class comment on updates.
-  void MaybePurgeLocked(uint64_t epoch_before) {
-    if (db_.mutation_epoch() != epoch_before && !db_.HasOpenViews()) {
-      db_.InvalidateScanCache();
-    }
-  }
-
   /// Shared-lock fast path when no deferred pre-query work is pending;
   /// exclusive fallback performs it (Freeze) and runs the query while
   /// still holding the lock. (Defined before its callers: the deduced
@@ -77,29 +70,15 @@ class ConcurrentLazyDatabase {
  public:
 
   // -- Updates (exclusive) ----------------------------------------------------
-  //
-  // Each writer eagerly purges the shared element-scan cache while it
-  // holds the exclusive lock — but only when the write actually advanced
-  // the mutation epoch (a rejected op provably changed nothing, so every
-  // cached scan is still valid and purging it would only cost the next
-  // reader its hits) and no read view is open (views serve their pinned
-  // epoch through the same cache; the epoch keying already guarantees
-  // correctness either way, the purge is purely a memory-reclaim).
 
   Result<SegmentId> InsertSegment(std::string_view text, uint64_t gp) {
     std::unique_lock lock(mu_);
-    const uint64_t before = db_.mutation_epoch();
-    auto r = db_.InsertSegment(text, gp);
-    MaybePurgeLocked(before);
-    return r;
+    return db_.InsertSegment(text, gp);
   }
 
   Status RemoveSegment(uint64_t gp, uint64_t length) {
     std::unique_lock lock(mu_);
-    const uint64_t before = db_.mutation_epoch();
-    auto r = db_.RemoveSegment(gp, length);
-    MaybePurgeLocked(before);
-    return r;
+    return db_.RemoveSegment(gp, length);
   }
 
   /// Applies the batch as one or more exclusive acquisitions. With
@@ -127,10 +106,7 @@ class ConcurrentLazyDatabase {
     const size_t chunk = batch_chunk_ops_.load(std::memory_order_relaxed);
     if (chunk == 0 || ops.size() <= chunk) {
       std::unique_lock lock(mu_);
-      const uint64_t before = db_.mutation_epoch();
-      Status s = db_.ApplyBatch(ops, stats_out);
-      MaybePurgeLocked(before);
-      return s;
+      return db_.ApplyBatch(ops, stats_out);
     }
     BatchStats total;
     total.ops = ops.size();
@@ -141,9 +117,7 @@ class ConcurrentLazyDatabase {
       BatchStats cs;
       {
         std::unique_lock lock(mu_);
-        const uint64_t before = db_.mutation_epoch();
         status = db_.ApplyBatch(ops.subspan(off, n), &cs);
-        MaybePurgeLocked(before);
       }  // lock dropped: queued readers are admitted before the next chunk
       total.applied += cs.applied;
       total.cancelled_pairs += cs.cancelled_pairs;
@@ -172,10 +146,7 @@ class ConcurrentLazyDatabase {
 
   Status CompactAll() {
     std::unique_lock lock(mu_);
-    const uint64_t before = db_.mutation_epoch();
-    auto r = db_.CompactAll();
-    MaybePurgeLocked(before);
-    return r;
+    return db_.CompactAll();
   }
 
   /// Inserts `text` at the current end of the super document under ONE
@@ -187,15 +158,13 @@ class ConcurrentLazyDatabase {
                                    uint64_t* gp_out = nullptr) {
     std::unique_lock lock(mu_);
     const uint64_t gp = db_.update_log().super_document_length();
-    const uint64_t before = db_.mutation_epoch();
     auto r = db_.InsertSegment(text, gp);
-    MaybePurgeLocked(before);
     if (r.ok() && gp_out != nullptr) *gp_out = gp;
     return r;
   }
 
   /// Performs the deferred pre-query work eagerly (exclusive: LS freeze,
-  /// compact/summary builds). No-op when nothing is pending, matching
+  /// summary build). No-op when nothing is pending, matching
   /// LazyDatabase::Freeze.
   void Freeze() {
     std::unique_lock lock(mu_);
@@ -269,8 +238,8 @@ class ConcurrentLazyDatabase {
     return db_.CheckInvariants();
   }
 
-  /// Reconfigures join threading + scan caching (exclusive: the pool and
-  /// cache are rebuilt).
+  /// Reconfigures query execution (exclusive: the path summary may be
+  /// rebuilt).
   void SetQueryOptions(const QueryOptions& query) {
     std::unique_lock lock(mu_);
     db_.SetQueryOptions(query);

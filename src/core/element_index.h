@@ -16,8 +16,8 @@
 // ForEachRecord, the scrubber and the snapshot format walk. A query
 // reads a run in place (GetScan: no copy, no allocation), and a
 // removal installs a shrunk copy instead of editing it (copy-on-write),
-// so a run handed out earlier — to a running join, the scan cache or an
-// MVCC version chain — never changes under its holder.
+// so a run handed out earlier — to a running join or an MVCC version
+// chain — never changes under its holder.
 
 #ifndef LAZYXML_CORE_ELEMENT_INDEX_H_
 #define LAZYXML_CORE_ELEMENT_INDEX_H_
@@ -68,6 +68,21 @@ struct ElementIndexRecord {
 /// An immutable, shareable element run: one (tag, segment)'s elements in
 /// ascending frozen start order.
 using ElementScan = std::shared_ptr<const std::vector<LocalElement>>;
+
+/// Pinned-epoch override source for element scans (docs/MVCC.md). A join
+/// running against a historical read view consults one of these before
+/// the live element index: a (tag, segment) list that has been mutated
+/// *after* the view's epoch is served from the retired pre-image the
+/// writer captured, while untouched lists — element-index records are
+/// write-once per segment and delete-only afterwards — fall through to
+/// the live index, which still holds exactly their pinned-epoch state.
+class ScanVersionSource {
+ public:
+  virtual ~ScanVersionSource() = default;
+  /// The raw (tid, sid) scan as of the pinned epoch, or nullptr when the
+  /// live element index is still exact for that epoch.
+  virtual ElementScan ScanAt(TagId tid, SegmentId sid) const = 0;
+};
 
 /// The element index.
 class ElementIndex {

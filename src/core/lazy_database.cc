@@ -39,55 +39,18 @@ LazyDatabase::LazyDatabase(LazyDatabaseOptions options)
 
 void LazyDatabase::SetQueryOptions(const QueryOptions& query) {
   options_.query = query;
-  if (query.num_threads == 0) {
-    // Auto: the process-wide shared pool, so N databases in one process
-    // share one set of workers instead of spawning N * hw_concurrency
-    // threads (docs/PARALLELISM.md).
-    owned_pool_.reset();
-    query_pool_ = ThreadPool::Shared();
-  } else if (query.num_threads == 1) {
-    owned_pool_.reset();
-    query_pool_ = nullptr;
-  } else {
-    if (owned_pool_ == nullptr ||
-        owned_pool_->num_threads() != query.num_threads) {
-      owned_pool_ = std::make_unique<ThreadPool>(query.num_threads);
-    }
-    query_pool_ = owned_pool_.get();
-  }
-  if (query.cache_bytes == 0) {
-    scan_cache_.reset();
-  } else if (scan_cache_ == nullptr ||
-             scan_cache_->options().capacity_bytes != query.cache_bytes) {
-    ElementScanCacheOptions copts;
-    copts.capacity_bytes = query.cache_bytes;
-    scan_cache_ = std::make_unique<ElementScanCache>(copts);
-  }
   // Build failures (corrupt structure) surface on the scrubber / the
   // next restore; a failed build just leaves the summary stale, which
   // silently disables pruning.
   (void)EnsurePathSummary();
 }
 
-ElementScan LazyDatabase::GetScan(TagId tid, SegmentId sid) {
-  if (scan_cache_ != nullptr) {
-    if (ElementScan hit = scan_cache_->Get(tid, sid, mutation_epoch_)) {
-      return hit;
-    }
-  }
-  ElementScan scan = index_.GetScan(tid, sid);
-  if (scan_cache_ != nullptr) {
-    scan_cache_->Put(tid, sid, mutation_epoch_, scan);
-  }
-  return scan;
-}
-
 Result<SegmentId> LazyDatabase::InsertSegment(std::string_view text,
                                               uint64_t gp) {
-  // Bumped up front: cached scans must not survive even a partially
-  // applied mutation. A failure *before* the first structural mutation
-  // rolls the bump back — the state is provably unchanged, so cached
-  // scans (and their eviction history) survive a rejected op.
+  // Bumped up front: a partially applied mutation is a new state. A
+  // failure *before* the first structural mutation rolls the bump back —
+  // the state is provably unchanged, so it keeps its epoch (read views
+  // pinned at it stay current).
   ++mutation_epoch_;
   SummaryBeginMutation();
   bool mutated = false;
@@ -198,7 +161,7 @@ Status LazyDatabase::RemoveSegment(uint64_t gp, uint64_t length) {
   bool mutated = false;
   Status st = RemoveSegmentImpl(gp, length, &mutated);
   // A rejected removal (out of bounds, element split) fails in the
-  // read-only pre-pass: nothing changed, cached scans stay valid.
+  // read-only pre-pass: nothing changed, the epoch stays.
   if (!st.ok() && !mutated) --mutation_epoch_;
   SummaryCommit();
   LAZYXML_RETURN_NOT_OK(st);
@@ -330,12 +293,12 @@ Status LazyDatabase::ApplyBatch(std::span<const UpdateOp> ops,
   SummaryBeginMutation();
   // Set at the first structural mutation (or burned sid) of any op; a
   // batch failing with it still false provably changed nothing, so the
-  // epoch bump is rolled back and cached scans survive.
+  // epoch bump is rolled back.
   bool batch_mutated = false;
   if (capture_ != nullptr) {
     Status begin_status = capture_->OnBatchBegin(ops.size());
     if (!begin_status.ok()) {
-      --mutation_epoch_;  // nothing mutated: cached scans stay valid
+      --mutation_epoch_;  // nothing mutated: the epoch stays
       SummaryCommit();    // and the summary still matches
       return begin_status;
     }
@@ -482,8 +445,8 @@ Status LazyDatabase::ApplyBatch(std::span<const UpdateOp> ops,
   if (!flush_status.ok()) summary_track_ = false;
   // A batch that failed before any structural mutation (first op's parse
   // or bounds error, capture rejection before any sid) changed nothing:
-  // roll the epoch back so cached scans survive. Must precede
-  // SummaryCommit, which stamps the (restored) epoch.
+  // roll the epoch back. Must precede SummaryCommit, which stamps the
+  // (restored) epoch.
   if (!batch_mutated &&
       (!op_status.ok() || !flush_status.ok() || !end_status.ok())) {
     --mutation_epoch_;
@@ -533,7 +496,7 @@ Status LazyDatabase::ApplyPlan(std::span<const SegmentInsertion> plan) {
 
 Result<SegmentId> LazyDatabase::CollapseSubtree(SegmentId sid) {
   // Validation precedes the epoch bump so a rejected collapse does not
-  // stale the path summary (cached scans are unaffected either way).
+  // stale the path summary.
   SegmentNode* top = log_.NodeOf(sid);
   if (top == nullptr) {
     return Status::NotFound("segment does not exist");
@@ -661,10 +624,6 @@ Status LazyDatabase::CompactAll() {
 
 void LazyDatabase::Freeze() {
   log_.Freeze();
-  // Build failures (only possible on a corrupt element index) surface on
-  // the next JoinByName, which runs EnsureCompactIndex with a Status
-  // return; Freeze keeps its historical void signature.
-  (void)EnsureCompactIndex();
   (void)EnsurePathSummary();
 }
 
@@ -824,39 +783,10 @@ uint32_t LazyDatabase::SummaryNodeOfElement(const SegmentNode& seg,
   return node;
 }
 
-Status LazyDatabase::EnsureCompactIndex() {
-  if (!options_.query.use_compact_index) return Status::OK();
-  if (compact_index_ != nullptr && compact_built_epoch_ == mutation_epoch_) {
-    return Status::OK();
-  }
-  LAZYXML_METRIC_HISTOGRAM(build_hist, "compact.build_us");
-  obs::ScopedLatency build_latency(build_hist);
-  LAZYXML_ASSIGN_OR_RETURN(compact_index_, CompactElementIndex::Build(index_));
-  compact_built_epoch_ = mutation_epoch_;
-  LAZYXML_METRIC_GAUGE(raw_gauge, "index.frozen_raw_bytes");
-  LAZYXML_METRIC_GAUGE(compact_gauge, "index.frozen_compact_bytes");
-  raw_gauge.Set(static_cast<double>(index_.MemoryBytes()));
-  compact_gauge.Set(static_cast<double>(compact_index_->MemoryBytes()));
-  return Status::OK();
-}
-
-void LazyDatabase::AdoptCompactIndex(
-    std::shared_ptr<const CompactElementIndex> compact) {
-  compact_index_ = std::move(compact);
-  compact_built_epoch_ = mutation_epoch_;
-  if (compact_index_ != nullptr) {
-    LAZYXML_METRIC_GAUGE(raw_gauge, "index.frozen_raw_bytes");
-    LAZYXML_METRIC_GAUGE(compact_gauge, "index.frozen_compact_bytes");
-    raw_gauge.Set(static_cast<double>(index_.MemoryBytes()));
-    compact_gauge.Set(static_cast<double>(compact_index_->MemoryBytes()));
-  }
-}
-
 Result<LazyJoinResult> LazyDatabase::JoinByName(
     std::string_view ancestor_tag, std::string_view descendant_tag,
     const LazyJoinOptions& options) {
   log_.Freeze();  // no-op in LD / when already clean
-  LAZYXML_RETURN_NOT_OK(EnsureCompactIndex());
   auto a = dict_.Lookup(ancestor_tag);
   auto d = dict_.Lookup(descendant_tag);
   if (!a.ok() || !d.ok()) return LazyJoinResult{};  // unknown tag: empty
@@ -897,22 +827,11 @@ Result<LazyJoinResult> LazyDatabase::JoinByName(
     jopts.ancestor_sid_filter = &prune.ancestor_sids;
     jopts.descendant_sid_filter = &prune.descendant_sids;
   }
-  ParallelJoinOptions popts;
-  popts.join = jopts;
-  return ParallelLazyJoin(log_, index_, atid, dtid, popts,
-                          query_pool_, scan_cache_.get(), mutation_epoch_,
-                          options_.query.use_compact_index
-                              ? compact_index()
-                              : nullptr);
+  return LazyJoin(log_, index_, atid, dtid, jopts);
 }
 
 bool LazyDatabase::QueryNeedsExclusive() const {
   if (!log_.frozen() || !log_.tag_list().sorted()) return true;
-  if (options_.query.use_compact_index &&
-      (compact_index_ == nullptr ||
-       compact_built_epoch_ != mutation_epoch_)) {
-    return true;
-  }
   if (options_.query.use_path_summary &&
       (summary_ == nullptr || summary_built_epoch_ != mutation_epoch_)) {
     return true;
@@ -938,12 +857,10 @@ Result<std::unique_ptr<SnapshotReader>> LazyDatabase::OpenReadView() {
     if (const PathSummary* ps = path_summary()) {
       fresh->summary = std::make_unique<const PathSummary>(*ps);
     }
-    if (compact_index() != nullptr) fresh->compact = compact_index_;
     snap = mvcc_.PinNew(std::move(fresh));
   }
   return std::make_unique<SnapshotReader>(&mvcc_, std::move(snap), &index_,
-                                          scan_cache_.get(), query_pool_,
-                                          options_.query);
+                                          options_.query.use_path_summary);
 }
 
 LazyDatabaseStats LazyDatabase::Stats() const {

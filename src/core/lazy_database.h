@@ -21,14 +21,10 @@
 #include <vector>
 
 #include "common/result.h"
-#include "common/thread_pool.h"
-#include "core/compact_index.h"
 #include "core/element_index.h"
 #include "core/lazy_join.h"
-#include "core/parallel_join.h"
 #include "core/query_facade.h"
 #include "core/read_view.h"
-#include "core/scan_cache.h"
 #include "core/update_batch.h"
 #include "core/update_capture.h"
 #include "core/update_log.h"
@@ -41,13 +37,23 @@ namespace lazyxml {
 
 struct SegmentInsertion;  // xmlgen/join_workload.h
 
+/// Facade-level query execution knobs (plumbed through LazyDatabase /
+/// DurableLazyDatabase into every join).
+struct QueryOptions {
+  /// Consult the path summary (query/path_summary.h) before each join:
+  /// provably-empty joins return without touching a tag list, other
+  /// joins scan only summary-qualified segments. Output is byte-identical
+  /// either way (A/B measurement flag; see docs/PATH_SUMMARY.md).
+  bool use_path_summary = true;
+};
+
 /// Facade configuration.
 struct LazyDatabaseOptions {
   /// LD (fully incremental) vs LS (freeze before query) — paper §5.1.
   LogMode mode = LogMode::kLazyDynamic;
   BTreeOptions element_index_options;
   BTreeOptions sb_tree_options;
-  /// Query execution: join worker threads + shared scan cache.
+  /// Query execution: path-summary pruning.
   QueryOptions query;
 };
 
@@ -85,7 +91,7 @@ class LazyDatabase : public QueryFacade {
   /// Applies `ops` in order with exactly the observable effect of the
   /// equivalent InsertSegment/RemoveSegment calls — same sids, same
   /// frozen coordinates, same serialized snapshot, same first error —
-  /// while amortizing per-op costs: the scan-cache epoch is bumped once,
+  /// while amortizing per-op costs: the mutation epoch is bumped once,
   /// element-index inserts of consecutive insertions are deferred into
   /// one sorted-batch tree apply (bulk load when the index is empty),
   /// immediately-adjacent insert/remove pairs that exactly cancel are
@@ -134,9 +140,8 @@ class LazyDatabase : public QueryFacade {
   // JoinGlobal / MaterializeGlobalElements are inherited
   // from QueryFacade, implemented once over the virtuals below.
 
-  /// LS mode: performs the pre-query work explicitly (benches time it).
-  /// When QueryOptions::use_compact_index is set this includes building
-  /// the succinct frozen element index (rebuilt only after mutations).
+  /// LS mode: performs the pre-query work explicitly (benches time it),
+  /// and rebuilds a stale path summary.
   void Freeze() override;
 
   // -- Snapshot-isolated reads (docs/MVCC.md) ----------------------------------
@@ -150,11 +155,11 @@ class LazyDatabase : public QueryFacade {
   Result<std::unique_ptr<SnapshotReader>> OpenReadView();
 
   /// True when a query (or OpenReadView) would have to mutate the facade
-  /// first: LS log not frozen / tag-list unsorted, or an enabled compact
-  /// index or path summary is stale for the current epoch. Concurrent
-  /// wrappers use this to route reads to the exclusive lock exactly when
-  /// the deferred work is pending — afterwards reads share the lock
-  /// again (the post-freeze downgrade fix).
+  /// first: LS log not frozen / tag-list unsorted, or an enabled path
+  /// summary is stale for the current epoch. Concurrent wrappers use
+  /// this to route reads to the exclusive lock exactly when the deferred
+  /// work is pending — afterwards reads share the lock again (the
+  /// post-freeze downgrade fix).
   bool QueryNeedsExclusive() const;
 
   /// True when any read view is currently open.
@@ -165,49 +170,25 @@ class LazyDatabase : public QueryFacade {
 
   // -- Query execution ---------------------------------------------------------
 
-  /// Reconfigures join threading + scan caching (benches sweep this).
-  /// Not thread-safe against concurrent queries.
+  /// Reconfigures query execution (benches sweep this). Not thread-safe
+  /// against concurrent queries.
   void SetQueryOptions(const QueryOptions& query);
   const QueryOptions& query_options() const { return options_.query; }
 
-  /// One (tag, segment) element scan, served from the shared scan cache
-  /// at the current mutation epoch when configured (always safe: a stale
-  /// epoch can never match).
-  ElementScan GetScan(TagId tid, SegmentId sid) override;
-
-  /// Monotonic counter bumped by every mutating facade operation; scan
-  /// cache entries are keyed by it (core/scan_cache.h).
-  uint64_t mutation_epoch() const { return mutation_epoch_; }
-
-  /// Eagerly drops every cached scan (the epoch keying already prevents
-  /// stale reads; this reclaims the memory — ConcurrentLazyDatabase calls
-  /// it under its exclusive lock).
-  void InvalidateScanCache() {
-    if (scan_cache_ != nullptr) scan_cache_->Invalidate();
+  /// One (tag, segment) element scan: the element index's run, in place.
+  ElementScan GetScan(TagId tid, SegmentId sid) override {
+    return index_.GetScan(tid, sid);
   }
 
-  /// Cache introspection for tests/benches; nullptr when disabled.
-  const ElementScanCache* scan_cache() const { return scan_cache_.get(); }
+  /// Monotonic counter bumped by every mutating facade operation; the
+  /// path summary and the MVCC read views are stamped with it.
+  uint64_t mutation_epoch() const { return mutation_epoch_; }
 
   // -- Introspection -----------------------------------------------------------
 
   const UpdateLog& update_log() const override { return log_; }
   const ElementIndex& element_index() const { return index_; }
   const TagDict& tag_dict() const override { return dict_; }
-
-  /// The succinct frozen element index, or nullptr when none has been
-  /// built for the *current* mutation epoch (any mutation stales it; it
-  /// is rebuilt by the next Freeze()/join with use_compact_index set).
-  const CompactElementIndex* compact_index() const {
-    return compact_built_epoch_ == mutation_epoch_ ? compact_index_.get()
-                                                   : nullptr;
-  }
-
-  /// Installs an externally built compact index for the current state
-  /// (snapshot restore; also how tests inject a mismatching index to
-  /// exercise the scrubber). The caller asserts it is record-for-record
-  /// equal to element_index() — CheckInvariants verifies (I-COMPACT).
-  void AdoptCompactIndex(std::shared_ptr<const CompactElementIndex> compact);
 
   /// The path summary (DataGuide), or nullptr when disabled
   /// (QueryOptions::use_path_summary) or stale for the current mutation
@@ -239,8 +220,8 @@ class LazyDatabase : public QueryFacade {
   /// Mutable access for snapshot restore (core/snapshot.h); not part of
   /// the stable API — going around the facade invalidates its invariants
   /// unless you restore a complete consistent state. Each accessor bumps
-  /// the mutation epoch so cached scans recorded before the bypass can
-  /// never be served afterwards, and poisons any open read view — a
+  /// the mutation epoch so a path summary built before the bypass is
+  /// never consulted afterwards, and poisons any open read view — a
   /// bypass mutation cannot capture pre-images, so views pinned before
   /// it would otherwise read silently inconsistent state (docs/MVCC.md).
   UpdateLog& mutable_update_log() {
@@ -285,7 +266,7 @@ class LazyDatabase : public QueryFacade {
   /// so a run of inserts can flush once via InsertRecordsBatch.
   /// `*mutated` (may be null) is set just before the first structural
   /// mutation: a failure with it still false provably changed nothing,
-  /// so the wrapper rolls the epoch bump back and cached scans survive.
+  /// so the wrapper rolls the epoch bump back.
   Result<SegmentId> InsertSegmentImpl(std::string_view text, uint64_t gp,
                                       std::vector<ElementIndexRecord>* deferred,
                                       bool* mutated);
@@ -293,11 +274,6 @@ class LazyDatabase : public QueryFacade {
   /// RemoveSegment minus the epoch bump / capture / paranoid check.
   /// Same `*mutated` contract as InsertSegmentImpl.
   Status RemoveSegmentImpl(uint64_t gp, uint64_t length, bool* mutated);
-
-  /// Builds (or rebuilds, after mutations) the compact index when
-  /// QueryOptions::use_compact_index is set; no-op otherwise. Updates the
-  /// index.frozen_{raw,compact}_bytes gauges on build.
-  Status EnsureCompactIndex();
 
   // -- Path-summary incremental maintenance ------------------------------------
   //
@@ -338,16 +314,6 @@ class LazyDatabase : public QueryFacade {
   TagDict dict_;
   UpdateCapture* capture_ = nullptr;
   uint64_t mutation_epoch_ = 0;
-  /// Pool joins run on: ThreadPool::Shared() when num_threads == 0,
-  /// `owned_pool_` for an explicit count > 1, null (serial) for 1.
-  ThreadPool* query_pool_ = nullptr;
-  std::unique_ptr<ThreadPool> owned_pool_;
-  std::unique_ptr<ElementScanCache> scan_cache_;  // null when cache_bytes == 0
-  /// Succinct frozen element index (core/compact_index.h), fresh iff
-  /// compact_built_epoch_ == mutation_epoch_. shared_ptr: a snapshot
-  /// serializer or in-flight query may outlive a rebuild.
-  std::shared_ptr<const CompactElementIndex> compact_index_;
-  uint64_t compact_built_epoch_ = 0;
   /// The path summary (query/path_summary.h), fresh iff
   /// summary_built_epoch_ == mutation_epoch_ (see path_summary()).
   std::unique_ptr<PathSummary> summary_;

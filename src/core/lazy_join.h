@@ -35,8 +35,6 @@
 
 namespace lazyxml {
 
-class CompactElementIndex;  // core/compact_index.h
-
 /// Lazy-Join knobs.
 struct LazyJoinOptions {
   /// Emit only parent-child pairs (containment + level difference 1).
@@ -80,18 +78,16 @@ struct LazyJoinPair {
 /// Join instrumentation (drives the §5.3 analyses).
 ///
 /// `elements_fetched` counts records actually read out of the element
-/// index; scans served by the shared ElementScanCache or the per-query
-/// fetch slots count into `scan_cache_hits` instead (so a self-join no
-/// longer double-counts the list it reads under both roles).
+/// index; scans served again from the join's per-query fetch slots count
+/// into `scans_reused` instead (so a self-join does not double-count the
+/// list it reads under both roles).
 struct LazyJoinStats {
   uint64_t cross_segment_pairs = 0;
   uint64_t in_segment_pairs = 0;
   uint64_t segments_pushed = 0;
   uint64_t segments_skipped = 0;  ///< A-segments never pushed
-  uint64_t elements_fetched = 0;  ///< element-index records read/decoded
-  uint64_t scan_cache_hits = 0;   ///< scans served without an index read
-  uint64_t blocks_skipped = 0;    ///< compact blocks skipped by header test
-  uint64_t partitions = 1;        ///< executor partitions (1 = serial)
+  uint64_t elements_fetched = 0;  ///< element-index records read
+  uint64_t scans_reused = 0;      ///< scans served from a fetch slot
   /// Tag-list entries dropped by the path-summary sid filters before any
   /// scan was fetched (both roles), and the element occurrences those
   /// entries carried (elements the pruned run will never fetch).
@@ -101,8 +97,7 @@ struct LazyJoinStats {
 
 /// Result of a Lazy-Join.
 ///
-/// Pair order (the same for the serial kernel, ParallelLazyJoin at any
-/// thread count, summary-pruned runs and compact-index runs; pinned by
+/// Pair order (the same with and without path-summary pruning; pinned by
 /// LazyJoinPairOrderTest):
 ///  1. Pairs are grouped by descendant segment, and each descendant
 ///     segment forms exactly one contiguous group. Groups follow the
@@ -121,15 +116,14 @@ struct LazyJoinResult {
 /// Joins `ancestor_tid` // `descendant_tid` over the log + element index.
 /// The log must be serviceable (LD always; LS after Freeze()).
 ///
-/// When `compact` is non-null, element scans are decoded from it instead
-/// of the B+-tree; it must be record-for-record equal to `index`
-/// (invariant I-COMPACT, see docs/COMPACT_INDEX.md), under which the
-/// output is byte-identical to the tree-scan run.
+/// When `versions` is non-null (pinned-epoch view queries, docs/MVCC.md),
+/// each element scan consults it first, so lists retired after the view's
+/// epoch are served from their captured pre-images.
 Result<LazyJoinResult> LazyJoin(const UpdateLog& log,
                                 const ElementIndex& index,
                                 TagId ancestor_tid, TagId descendant_tid,
                                 const LazyJoinOptions& options = {},
-                                const CompactElementIndex* compact = nullptr);
+                                const ScanVersionSource* versions = nullptr);
 
 }  // namespace lazyxml
 

@@ -24,7 +24,6 @@
 
 #include "common/result.h"
 #include "core/lazy_join.h"
-#include "core/scan_cache.h"
 #include "core/update_log.h"
 #include "join/global_element.h"
 #include "query/path_summary.h"
@@ -37,8 +36,8 @@ class QueryFacade {
  public:
   virtual ~QueryFacade() = default;
 
-  /// Performs any deferred pre-query work (LS freeze, compact/summary
-  /// builds). A no-op on an already-serviceable state — and always a
+  /// Performs any deferred pre-query work (LS freeze, summary
+  /// build). A no-op on an already-serviceable state — and always a
   /// no-op on a snapshot view, whose state is immutable by construction.
   virtual void Freeze() = 0;
 

@@ -176,16 +176,9 @@ Status MvccState::CheckInvariants() const {
 SnapshotReader::~SnapshotReader() { mvcc_->Unpin(snap_->epoch); }
 
 ElementScan SnapshotReader::GetScan(TagId tid, SegmentId sid) {
-  // Cache entries at the pinned epoch were recorded from exactly the
-  // pinned state (by the live facade when current, or by an earlier view
-  // query), so a hit is always safe to serve.
-  if (cache_ != nullptr) {
-    if (ElementScan hit = cache_->Get(tid, sid, snap_->epoch)) return hit;
-  }
   ElementScan scan = ScanAt(tid, sid);
   // Untouched since the pinned epoch: the live index's run is still exact.
   if (scan == nullptr) scan = live_index_->GetScan(tid, sid);
-  if (cache_ != nullptr) cache_->Put(tid, sid, snap_->epoch, scan);
   return scan;
 }
 
@@ -232,17 +225,7 @@ Result<LazyJoinResult> SnapshotReader::JoinByName(
     jopts.ancestor_sid_filter = &prune.ancestor_sids;
     jopts.descendant_sid_filter = &prune.descendant_sids;
   }
-  ParallelJoinOptions popts;
-  popts.join = jopts;
-  // The snapshot carries a compact index only when one was built at
-  // exactly the pinned epoch; it then covers every scan and the version
-  // source is never consulted (compact indexes are immutable).
-  return ParallelLazyJoin(*snap_->log, *live_index_, atid, dtid, popts,
-                          pool_, cache_, snap_->epoch,
-                          query_options_.use_compact_index
-                              ? snap_->compact.get()
-                              : nullptr,
-                          this);
+  return LazyJoin(*snap_->log, *live_index_, atid, dtid, jopts, this);
 }
 
 }  // namespace lazyxml

@@ -19,10 +19,10 @@
 // So a snapshot is: a cloned update log + the shared tag dictionary
 // (append-only; tags interned after E have no tag-list entries in the
 // clone, which matches replay semantics) + an optional copied path
-// summary and shared compact index when those were fresh at pin time.
+// summary when it was fresh at pin time.
 // Scans come from the live element index, overridden per (tag, segment)
 // by the captured pre-images (SnapshotReader implements ScanVersionSource
-// and is threaded into the join kernels).
+// and is threaded into the join kernel).
 //
 // Reclamation is deferred: retired versions and cached snapshots are
 // dropped as soon as no open view can still need them (Unpin/Capture
@@ -44,13 +44,9 @@
 #include <vector>
 
 #include "common/result.h"
-#include "common/thread_pool.h"
 #include "common/ticket_rwlock.h"
-#include "core/compact_index.h"
 #include "core/element_index.h"
-#include "core/parallel_join.h"
 #include "core/query_facade.h"
-#include "core/scan_cache.h"
 #include "core/update_log.h"
 #include "query/path_summary.h"
 #include "query/xpath.h"
@@ -81,9 +77,6 @@ struct ReadSnapshot {
   /// Deep copy of the path summary iff it was fresh at pin time (the
   /// live one is maintained in place and cannot be shared).
   std::unique_ptr<const PathSummary> summary;
-  /// The compact index iff it was built at exactly `epoch` (immutable
-  /// once built — rebuilds swap the pointer, so sharing is safe).
-  std::shared_ptr<const CompactElementIndex> compact;
 };
 
 /// Version store + view registry. One per LazyDatabase; internally
@@ -166,14 +159,11 @@ class MvccState {
 class SnapshotReader final : public QueryFacade, public ScanVersionSource {
  public:
   SnapshotReader(MvccState* mvcc, std::shared_ptr<const ReadSnapshot> snap,
-                 const ElementIndex* live_index, ElementScanCache* cache,
-                 ThreadPool* pool, const QueryOptions& query_options)
+                 const ElementIndex* live_index, bool use_path_summary)
       : mvcc_(mvcc),
         snap_(std::move(snap)),
         live_index_(live_index),
-        cache_(cache),
-        pool_(pool),
-        query_options_(query_options) {}
+        use_path_summary_(use_path_summary) {}
   ~SnapshotReader() override;
   SnapshotReader(const SnapshotReader&) = delete;
   SnapshotReader& operator=(const SnapshotReader&) = delete;
@@ -187,7 +177,7 @@ class SnapshotReader final : public QueryFacade, public ScanVersionSource {
   const UpdateLog& update_log() const override { return *snap_->log; }
   const TagDict& tag_dict() const override { return *snap_->dict; }
   const PathSummary* path_summary() const override {
-    return query_options_.use_path_summary ? snap_->summary.get() : nullptr;
+    return use_path_summary_ ? snap_->summary.get() : nullptr;
   }
   ElementScan GetScan(TagId tid, SegmentId sid) override;
   Result<LazyJoinResult> JoinByName(
@@ -204,9 +194,7 @@ class SnapshotReader final : public QueryFacade, public ScanVersionSource {
   MvccState* mvcc_;
   std::shared_ptr<const ReadSnapshot> snap_;
   const ElementIndex* live_index_;
-  ElementScanCache* cache_;  ///< may be null
-  ThreadPool* pool_;         ///< may be null (serial)
-  QueryOptions query_options_;
+  bool use_path_summary_;  ///< QueryOptions::use_path_summary
 };
 
 /// The public consistent-read handle (ConcurrentLazyDatabase::OpenView):

@@ -13,8 +13,10 @@ namespace {
 constexpr char kMagic[] = "LZXMLSNP";
 // v2 adds the sid counter after the mode byte (sid-exact restores, which
 // WAL replay depends on); v1 files still load, deriving it as max(sid)+1.
-// v3 appends an optional compact-index section (u8 flag + blob) after the
-// tag-list entries; v1/v2 files still load and rebuild it on demand.
+// v3 appends a compact-index flag byte (u8, then an optional blob) after
+// the tag-list entries. The compact index has since been removed: the
+// byte is always written 0, and a file with the flag set (only a library
+// caller that enabled the index could have written one) is NotSupported.
 // v4 adds the element tag to every nesting-summary entry (the path
 // summary attributes elements to root-to-tag paths through the summary
 // chains); v1-v3 files still load, backfilling the tags from the
@@ -114,12 +116,8 @@ Result<std::string> SerializeDatabase(const LazyDatabase& db) {
     return true;
   });
 
-  // Compact-index section: serialized only when one is built AND fresh
-  // (compact_index() is epoch-gated), so a snapshot can never resurrect
-  // a compact index that disagrees with the records above.
-  const CompactElementIndex* compact = db.compact_index();
-  w.PutU8(compact != nullptr ? 1 : 0);
-  if (compact != nullptr) compact->SerializeTo(&w);
+  // The v3 compact-index flag: always 0 (no compact section follows).
+  w.PutU8(0);
   return w.TakeBuffer();
 }
 
@@ -271,15 +269,15 @@ Result<std::unique_ptr<LazyDatabase>> DeserializeDatabase(
             .AddEntry(tid, std::move(path), count, log)
             .WithContext("restoring tag-list"));
   }
-  std::shared_ptr<const CompactElementIndex> compact;
   if (version >= 3) {
     LAZYXML_ASSIGN_OR_RETURN(uint8_t has_compact, r.GetU8());
     if (has_compact > 1) {
       return Status::Corruption("bad compact-index flag");
     }
     if (has_compact == 1) {
-      LAZYXML_ASSIGN_OR_RETURN(compact,
-                               CompactElementIndex::DeserializeFrom(&r));
+      return Status::NotSupported(
+          "snapshot carries a compact element index, which this build "
+          "removed; re-save it from a build that has the index");
     }
   }
   if (!r.AtEnd()) {
@@ -288,10 +286,6 @@ Result<std::unique_ptr<LazyDatabase>> DeserializeDatabase(
   if (next_sid != 0) {
     LAZYXML_RETURN_NOT_OK(log.RestoreNextSid(next_sid));
   }
-  // Adopt after the last mutable accessor touch (each bump stales the
-  // adoption epoch) and before CheckInvariants, whose compact validator
-  // then cross-proves the restored blocks against the restored B+-tree.
-  if (compact != nullptr) db->AdoptCompactIndex(std::move(compact));
   // Rebuild the path summary against the restored state (the mutable
   // accessor bumps staled the one built at construction). Restore runs
   // with exclusive ownership, so the rebuild is race-free here.

@@ -2,10 +2,9 @@
 //
 // The paper's headline claims are quantitative — update cost, I/Os, and
 // structural-join time under lazy vs. eager maintenance (§5) — and the
-// per-subsystem stats structs (LazyJoinStats, BatchStats,
-// ElementScanCacheStats, RecoveryStats) that measure them have no common
-// export and already produced one counter bug (the double-counted
-// elements_fetched fixed in the parallel-executor PR). This registry is
+// per-subsystem stats structs (LazyJoinStats, BatchStats, RecoveryStats)
+// that measure them have no common export and already produced one
+// counter bug (a double-counted elements_fetched). This registry is
 // the single sink those structs now feed: named counters, gauges and
 // log-bucketed latency histograms with stable text/JSON exports
 // (docs/OBSERVABILITY.md).

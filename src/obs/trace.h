@@ -3,12 +3,10 @@
 //
 // A span is cheap but not free (two steady_clock reads plus one
 // mutex-protected ring push), so spans mark per-query *phases* — parse,
-// element scan, partition-seed pre-pass, join rounds, splice — never
-// per-element work. Spans started on one thread nest via a thread-local
-// (trace id, depth) pair: the first span on a thread opens a new trace,
-// nested spans inherit its id with depth+1, so the dump reconstructs the
-// phase tree per query even when partitions run on pool threads (each
-// pool thread's partition span opens its own trace; correlate by time).
+// join prepare, join rounds — never per-element work. Spans started on
+// one thread nest via a thread-local (trace id, depth) pair: the first
+// span on a thread opens a new trace, nested spans inherit its id with
+// depth+1, so the dump reconstructs the phase tree per query.
 //
 // The ring is bounded (default 4096 spans) and overwrites the oldest
 // entry, so tracing can stay on in production without unbounded memory;

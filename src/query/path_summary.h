@@ -7,8 +7,8 @@
 // The summary is a pure data structure: it knows nothing about the
 // update log or the element index. LazyDatabase owns one, builds it from
 // a live traversal (LazyDatabase::BuildPathSummary) and maintains it
-// incrementally through every lazy update path, epoch-stamping it like
-// the scan cache so a stale summary can never be consulted (see
+// incrementally through every lazy update path, stamping it with the
+// mutation epoch so a stale summary can never be consulted (see
 // docs/PATH_SUMMARY.md). The structural join planner interrogates it
 // through ComputeJoinPrune: a join whose descendant tag reaches no
 // summary node under the ancestor tag is provably empty and is answered

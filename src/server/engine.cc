@@ -26,7 +26,6 @@ Result<SegmentId> ServerEngine::Append(std::string_view text,
   std::unique_lock lock(dur_mu_);
   const uint64_t gp = dur_->database().update_log().super_document_length();
   auto r = dur_->InsertSegment(text, gp);
-  dur_->database().InvalidateScanCache();
   if (r.ok() && gp_out != nullptr) *gp_out = gp;
   return r;
 }
@@ -34,34 +33,26 @@ Result<SegmentId> ServerEngine::Append(std::string_view text,
 Result<SegmentId> ServerEngine::Insert(std::string_view text, uint64_t gp) {
   if (mem_ != nullptr) return mem_->InsertSegment(text, gp);
   std::unique_lock lock(dur_mu_);
-  auto r = dur_->InsertSegment(text, gp);
-  dur_->database().InvalidateScanCache();
-  return r;
+  return dur_->InsertSegment(text, gp);
 }
 
 Status ServerEngine::Remove(uint64_t gp, uint64_t length) {
   if (mem_ != nullptr) return mem_->RemoveSegment(gp, length);
   std::unique_lock lock(dur_mu_);
-  Status s = dur_->RemoveSegment(gp, length);
-  dur_->database().InvalidateScanCache();
-  return s;
+  return dur_->RemoveSegment(gp, length);
 }
 
 Status ServerEngine::ApplyBatch(std::span<const UpdateOp> ops,
                                 BatchStats* stats_out) {
   if (mem_ != nullptr) return mem_->ApplyBatch(ops, stats_out);
   std::unique_lock lock(dur_mu_);
-  Status s = dur_->ApplyBatch(ops, stats_out);
-  dur_->database().InvalidateScanCache();
-  return s;
+  return dur_->ApplyBatch(ops, stats_out);
 }
 
 Status ServerEngine::Compact() {
   if (mem_ != nullptr) return mem_->CompactAll();
   std::unique_lock lock(dur_mu_);
-  Status s = dur_->CompactAll();
-  dur_->database().InvalidateScanCache();
-  return s;
+  return dur_->CompactAll();
 }
 
 Status ServerEngine::Freeze() {
@@ -78,8 +69,8 @@ Result<XPathResult> ServerEngine::Xpath(std::string_view expr,
   if (mem_ != nullptr) return mem_->Xpath(expr, syntax);
   // The routing of ConcurrentLazyDatabase::ReadQuery: shared while no
   // pre-query work is pending, else exclusive to do it first — journal an
-  // LS freeze point, then rebuild a stale compact index or path summary —
-  // so a query never rebuilds either under the shared lock.
+  // LS freeze point, then rebuild a stale path summary — so a query never
+  // rebuilds anything under the shared lock.
   {
     std::shared_lock lock(dur_mu_);
     if (!dur_->database().QueryNeedsExclusive()) {

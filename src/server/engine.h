@@ -9,8 +9,8 @@
 //               *same* locking discipline here: updates and maintenance
 //               exclusive; queries shared unless
 //               LazyDatabase::QueryNeedsExclusive() reports pending work
-//               (an LS freeze to journal, a stale compact index or path
-//               summary), which they do first under the exclusive lock.
+//               (an LS freeze to journal, a stale path summary), which
+//               they do first under the exclusive lock.
 //
 // Command execution (server/command.cc) calls only this class, so the
 // wire/command layers never care which shape is behind them.

@@ -137,8 +137,8 @@ class DurableLazyDatabase : private UpdateCapture {
     return db_->MaterializeGlobalElements(tag);
   }
 
-  /// Reconfigures join threading + scan caching (core/parallel_join.h);
-  /// purely in-memory, nothing is journaled.
+  /// Reconfigures query execution (core/lazy_database.h); purely
+  /// in-memory, nothing is journaled.
   void SetQueryOptions(const QueryOptions& query) {
     db_->SetQueryOptions(query);
   }

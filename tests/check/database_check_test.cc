@@ -206,63 +206,6 @@ TEST(DatabaseCheckTest, ReportsMultipleFaultsInOnePass) {
   EXPECT_GE(report.ValueOrDie().errors(), 2u);
 }
 
-TEST(DatabaseCheckTest, CompactIndexEqualToTreeIsClean) {
-  auto db = BuildPopulated();
-  // No compact index installed: the I-COMPACT section is a no-op.
-  auto before = CheckDatabase(*db);
-  ASSERT_TRUE(before.ok());
-  EXPECT_TRUE(before.ValueOrDie().ok());
-
-  auto compact = CompactElementIndex::Build(db->element_index());
-  ASSERT_TRUE(compact.ok());
-  db->AdoptCompactIndex(compact.ValueOrDie());
-  ASSERT_NE(db->compact_index(), nullptr);
-  auto after = CheckDatabase(*db);
-  ASSERT_TRUE(after.ok());
-  EXPECT_TRUE(after.ValueOrDie().ok()) << after.ValueOrDie().ToString();
-  EXPECT_GT(after.ValueOrDie().objects_scanned(),
-            before.ValueOrDie().objects_scanned())
-      << "I-COMPACT section must actually scan the lists";
-}
-
-TEST(DatabaseCheckTest, CompactIndexMismatchDetected) {
-  // Adopt a compact index built from a DIFFERENT database: every class
-  // of disagreement the I-COMPACT validator knows must light up.
-  auto db = BuildPopulated();
-  LazyDatabase other;
-  ASSERT_TRUE(other.InsertSegment("<a><q/><q/></a>", 0).ok());
-  auto foreign = CompactElementIndex::Build(other.element_index());
-  ASSERT_TRUE(foreign.ok());
-  db->AdoptCompactIndex(foreign.ValueOrDie());
-
-  auto report = CheckDatabase(*db);
-  ASSERT_TRUE(report.ok());
-  EXPECT_FALSE(report.ValueOrDie().ok());
-  // The foreign index both misses real lists and declares wrong totals.
-  EXPECT_TRUE(report.ValueOrDie().HasCode("list-miss"))
-      << report.ValueOrDie().ToString();
-  EXPECT_TRUE(report.ValueOrDie().HasCode("count-mismatch"))
-      << report.ValueOrDie().ToString();
-  EXPECT_TRUE(db->CheckInvariants().IsCorruption());
-}
-
-TEST(DatabaseCheckTest, CompactIndexRecordMismatchDetected) {
-  // Same tags, same list keys, same counts — only the element extents
-  // disagree: the per-record comparison must catch it.
-  LazyDatabase db;
-  ASSERT_TRUE(db.InsertSegment("<a><b>xx</b><c>yy</c></a>", 0).ok());
-  LazyDatabase mirror;
-  ASSERT_TRUE(mirror.InsertSegment("<a><b>xxx</b><c>y</c></a>", 0).ok());
-  auto compact = CompactElementIndex::Build(mirror.element_index());
-  ASSERT_TRUE(compact.ok());
-  db.AdoptCompactIndex(compact.ValueOrDie());
-
-  auto report = CheckDatabase(db);
-  ASSERT_TRUE(report.ok());
-  EXPECT_TRUE(report.ValueOrDie().HasCode("record-mismatch"))
-      << report.ValueOrDie().ToString();
-}
-
 }  // namespace
 }  // namespace check
 }  // namespace lazyxml

@@ -29,58 +29,16 @@ TEST(ThreadPoolTest, DestructorDrainsEverySubmittedTask) {
   EXPECT_EQ(ran.load(), 1000);
 }
 
-TEST(ThreadPoolTest, ParallelForCoversEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
-  constexpr size_t kN = 997;  // not a multiple of anything convenient
-  std::vector<std::atomic<int>> hits(kN);
-  pool.ParallelFor(kN, [&hits](size_t i) {
-    hits[i].fetch_add(1, std::memory_order_relaxed);
-  });
-  for (size_t i = 0; i < kN; ++i) {
-    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
-  }
-}
-
-TEST(ThreadPoolTest, ParallelForZeroAndOne) {
-  ThreadPool pool(2);
-  pool.ParallelFor(0, [](size_t) { FAIL() << "no iterations expected"; });
-  std::atomic<int> hits{0};
-  pool.ParallelFor(1, [&hits](size_t i) {
-    EXPECT_EQ(i, 0u);
-    ++hits;
-  });
-  EXPECT_EQ(hits.load(), 1);
-}
-
-TEST(ThreadPoolTest, ParallelForOnSingleThreadPool) {
-  ThreadPool pool(1);
-  std::atomic<size_t> sum{0};
-  pool.ParallelFor(100, [&sum](size_t i) {
-    sum.fetch_add(i, std::memory_order_relaxed);
-  });
-  EXPECT_EQ(sum.load(), 4950u);
-}
-
-TEST(ThreadPoolTest, NestedParallelForDoesNotDeadlock) {
-  // The caller participates in its own batch, so inner ParallelFor calls
-  // complete even when every worker is busy with outer iterations.
-  ThreadPool pool(2);
-  std::atomic<int> inner_hits{0};
-  pool.ParallelFor(4, [&pool, &inner_hits](size_t) {
-    pool.ParallelFor(8, [&inner_hits](size_t) {
-      inner_hits.fetch_add(1, std::memory_order_relaxed);
-    });
-  });
-  EXPECT_EQ(inner_hits.load(), 32);
-}
-
 TEST(ThreadPoolTest, RepeatedWavesStaySound) {
   ThreadPool pool(4);
   for (int wave = 0; wave < 50; ++wave) {
     std::vector<std::atomic<int>> hits(64);
-    pool.ParallelFor(64, [&hits](size_t i) {
-      hits[i].fetch_add(1, std::memory_order_relaxed);
-    });
+    for (size_t i = 0; i < hits.size(); ++i) {
+      pool.Submit([&hits, i] {
+        hits[i].fetch_add(1, std::memory_order_relaxed);
+      });
+    }
+    pool.WaitIdle();
     for (size_t i = 0; i < hits.size(); ++i) ASSERT_EQ(hits[i].load(), 1);
   }
 }

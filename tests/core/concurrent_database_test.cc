@@ -159,50 +159,33 @@ TEST(ConcurrentDatabaseTest, LazyStaticQueriesSerialize) {
   EXPECT_TRUE(db.CheckInvariants().ok());
 }
 
-TEST(ConcurrentDatabaseTest, WritersPurgeScanCache) {
-  LazyDatabaseOptions opts;
-  opts.query.num_threads = 2;
-  opts.query.cache_bytes = 1u << 20;
-  ConcurrentLazyDatabase db(opts);
+TEST(ConcurrentDatabaseTest, WritesAreVisibleToTheNextQuery) {
+  ConcurrentLazyDatabase db;
   ASSERT_TRUE(db.InsertSegment("<seg><A><D/></A><A><D/></A></seg>", 0).ok());
-
-  // Two identical queries: the second is served from the shared cache.
   ASSERT_EQ(db.JoinByName("A", "D").ValueOrDie().pairs.size(), 2u);
-  auto cached = db.JoinByName("A", "D");
-  ASSERT_TRUE(cached.ok());
-  EXPECT_GT(cached.ValueOrDie().stats.scan_cache_hits, 0u);
-  const ElementScanCache* cache =
-      db.UnsynchronizedAccess().scan_cache();
-  ASSERT_NE(cache, nullptr);
-  EXPECT_GT(cache->Stats().entries, 0u);
+  ASSERT_EQ(db.JoinByName("A", "D").ValueOrDie().pairs.size(), 2u);
 
-  // A write purges the cache eagerly under its exclusive lock...
+  // The next query after a write sees the post-update document: three A
+  // elements, each containing exactly its own D.
   ASSERT_TRUE(db.InsertSegment("<A><D/></A>", 5).ok());
-  EXPECT_EQ(cache->Stats().entries, 0u);
-
-  // ...and the next query sees the post-update document, not stale
-  // scans: three A elements, each containing exactly its own D.
   auto after = db.JoinByName("A", "D");
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after.ValueOrDie().pairs.size(), 3u);
 }
 
-// Regression: writers used to purge the scan cache unconditionally, so
-// a REJECTED write (which provably changed nothing — it does not even
-// advance the mutation epoch) threw away a fully warm cache for
-// nothing. Purge only when the epoch actually moved.
-TEST(ConcurrentDatabaseTest, FailedWritesLeaveScanCacheWarm) {
-  LazyDatabaseOptions opts;
-  opts.query.cache_bytes = 1u << 20;
-  ConcurrentLazyDatabase db(opts);
+// A REJECTED write provably changed nothing, so through the concurrent
+// wrapper too it must leave the mutation epoch where it was: a view
+// opened before it still pins the current state, and queries answer as
+// before. A successful write then moves the epoch on.
+TEST(ConcurrentDatabaseTest, FailedWritesLeaveTheStateCurrent) {
+  ConcurrentLazyDatabase db;
   ASSERT_TRUE(db.InsertSegment("<seg><A><D/></A><W></W></seg>", 0).ok());
-
-  // Warm the cache.
   ASSERT_EQ(db.JoinByName("A", "D").ValueOrDie().pairs.size(), 1u);
-  const ElementScanCache* cache = db.UnsynchronizedAccess().scan_cache();
-  ASSERT_NE(cache, nullptr);
-  const auto warm = cache->Stats();
-  ASSERT_GT(warm.entries, 0u);
+  auto view_or = db.OpenView();
+  ASSERT_TRUE(view_or.ok());
+  ReadView view = std::move(view_or).ValueOrDie();
+  const uint64_t epoch = db.UnsynchronizedAccess().mutation_epoch();
+  ASSERT_EQ(view.epoch(), epoch);
 
   // A malformed insert and an out-of-bounds remove (both rejected before
   // any structural mutation), plus a batch whose first op is rejected.
@@ -213,15 +196,14 @@ TEST(ConcurrentDatabaseTest, FailedWritesLeaveScanCacheWarm) {
   BatchStats stats;
   EXPECT_FALSE(db.ApplyBatch(bad, &stats).ok());
 
-  EXPECT_EQ(cache->Stats().entries, warm.entries);
-  // The warm entries still serve hits...
-  auto again = db.JoinByName("A", "D");
-  ASSERT_TRUE(again.ok());
-  EXPECT_GT(again.ValueOrDie().stats.scan_cache_hits, 0u);
-  // ...and a SUCCESSFUL write still purges eagerly.
-  ASSERT_TRUE(db.InsertSegment("<D/>", 19).ok());
-  EXPECT_EQ(cache->Stats().entries, 0u);
+  EXPECT_EQ(db.UnsynchronizedAccess().mutation_epoch(), epoch);
   EXPECT_EQ(db.JoinByName("A", "D").ValueOrDie().pairs.size(), 1u);
+  EXPECT_EQ(view.JoinByName("A", "D").ValueOrDie().pairs.size(), 1u);
+  // A SUCCESSFUL write advances the epoch; the view keeps its state.
+  ASSERT_TRUE(db.InsertSegment("<D/>", 19).ok());
+  EXPECT_EQ(db.UnsynchronizedAccess().mutation_epoch(), epoch + 1);
+  EXPECT_EQ(db.JoinByName("A", "D").ValueOrDie().pairs.size(), 1u);
+  EXPECT_EQ(view.JoinByName("A", "D").ValueOrDie().pairs.size(), 1u);
 }
 
 // Regression: LS-mode queries used to take the exclusive lock forever,
@@ -275,15 +257,12 @@ TEST(ConcurrentDatabaseTest, LazyStaticPostFreezeReaderStorm) {
 }
 
 TEST(ConcurrentDatabaseTest, CachedParallelQueriesUnderConcurrentWrites) {
-  // Readers race a writer with the pool + cache enabled; every join must
-  // observe some consistent document state (pair counts can only be one
-  // of the states the writer produces) and invariants must hold at the
-  // end. Run under TSan this also exercises the cache's sharded locking
-  // against the facade's epoch bumps.
-  LazyDatabaseOptions opts;
-  opts.query.num_threads = 2;
-  opts.query.cache_bytes = 1u << 20;
-  ConcurrentLazyDatabase db(opts);
+  // Three readers race a writer; every join must succeed on some
+  // consistent document state and invariants must hold at the end. Run
+  // under TSan this exercises shared-lock readers (including self-joins,
+  // which reuse one fetched run under both roles) against the facade's
+  // epoch bumps and the element index's copy-on-write runs.
+  ConcurrentLazyDatabase db;
   ASSERT_TRUE(db.InsertSegment("<seg><A></A></seg>", 0).ok());
   const uint64_t hole = 8;  // inside the <A> element
   std::atomic<bool> stop{false};
@@ -294,7 +273,7 @@ TEST(ConcurrentDatabaseTest, CachedParallelQueriesUnderConcurrentWrites) {
       while (!stop.load(std::memory_order_relaxed)) {
         auto r = db.JoinByName("A", "D");
         if (!r.ok()) ++failures;
-        auto s = db.JoinByName("A", "A");  // self-join through the cache
+        auto s = db.JoinByName("A", "A");  // self-join
         if (!s.ok()) ++failures;
       }
     });

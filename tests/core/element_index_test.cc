@@ -316,11 +316,7 @@ TEST(ElementIndexTest, RunsSurviveCompaction) {
 // A run must never change under its holder (TSan: no write may touch a
 // handed-out run).
 TEST(ElementIndexConcurrencyTest, HeldRunsSurviveRemovalsAndCompaction) {
-  QueryOptions qopts;
-  qopts.cache_bytes = 1u << 20;  // cached scans are the index's runs too
-  LazyDatabaseOptions opts;
-  opts.query = qopts;
-  ConcurrentLazyDatabase db(opts);
+  ConcurrentLazyDatabase db;
   const std::string unit = "<a><b><c/><c/></b><b><c/></b></a>";
   {
     std::string top = "<r>";

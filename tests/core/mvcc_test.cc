@@ -26,9 +26,9 @@ constexpr char kBase[] = "<seg><A><D/></A><W></W></seg>";
 constexpr uint64_t kHole = 19;  // between <W> and </W>
 
 // A failed write provably changed nothing, so it must not burn a
-// mutation epoch (stale-looking cache entries and needless snapshot
+// mutation epoch (a stale-looking path summary and needless snapshot
 // re-pins would follow). Companion to the ConcurrentDatabaseTest
-// regression asserting the scan cache survives such writes.
+// regression asserting views and queries are undisturbed by such writes.
 TEST(MvccTest, FailedWritesDoNotAdvanceTheEpoch) {
   LazyDatabase db;
   ASSERT_TRUE(db.InsertSegment(kBase, 0).ok());
@@ -52,9 +52,7 @@ TEST(MvccTest, FailedWritesDoNotAdvanceTheEpoch) {
 }
 
 TEST(MvccTest, ReadViewIsolatedFromLaterWrites) {
-  LazyDatabaseOptions opts;
-  opts.query.cache_bytes = 1u << 20;
-  ConcurrentLazyDatabase db(opts);
+  ConcurrentLazyDatabase db;
   ASSERT_TRUE(db.InsertSegment(kBase, 0).ok());
 
   auto view_or = db.OpenView();
@@ -176,12 +174,10 @@ TEST(MvccTest, ConcurrentViewsShareOneSnapshotPerEpoch) {
 // identifies EXACTLY the applied prefix: epoch E = base epoch + k means
 // ops[0..k) applied. Afterwards every recorded epoch is replayed
 // serially on a fresh database and the join output must match verbatim
-// — a reader that ever saw a torn mid-chunk state, a stale cache entry,
-// or a missing pre-image version fails the byte-comparison.
+// — a reader that ever saw a torn mid-chunk state or a missing
+// pre-image version fails the byte-comparison.
 TEST(MvccTest, ChunkedBatchReadersSeeExactPrefixes) {
-  LazyDatabaseOptions opts;
-  opts.query.cache_bytes = 1u << 20;  // exercise the epoch-keyed cache
-  ConcurrentLazyDatabase db(opts);
+  ConcurrentLazyDatabase db;
   ASSERT_TRUE(db.InsertSegment(kBase, 0).ok());
   db.Freeze();  // summary built: views open on the shared fast path
   const uint64_t base_epoch = db.UnsynchronizedAccess().mutation_epoch();
@@ -249,7 +245,7 @@ TEST(MvccTest, ChunkedBatchReadersSeeExactPrefixes) {
     ASSERT_GE(epoch, base_epoch);
     const size_t prefix = static_cast<size_t>(epoch - base_epoch);
     ASSERT_LE(prefix, ops.size());
-    LazyDatabase replay(opts);
+    LazyDatabase replay;
     ASSERT_TRUE(replay.InsertSegment(kBase, 0).ok());
     for (size_t i = 0; i < prefix; ++i) {
       BatchStats one;

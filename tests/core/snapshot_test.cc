@@ -189,58 +189,35 @@ TEST(SnapshotTest, RandomByteFlipsNeverCrash) {
   }
 }
 
-// A database whose query options build the compact index at Freeze().
-std::unique_ptr<LazyDatabase> BuildCompactSample(std::string* shadow) {
-  LazyDatabaseOptions opts;
-  opts.query.use_compact_index = true;
-  auto db = std::make_unique<LazyDatabase>(opts);
-  auto insert = [&](std::string_view text, uint64_t gp) {
-    EXPECT_TRUE(db->InsertSegment(text, gp).ok());
-    testutil::SpliceInsert(shadow, text, gp);
-  };
-  insert("<a><b/><w></w><b/></a>", 0);
-  insert("<c><b/><d/></c>", 10);
-  insert("<d></d>", 13);
-  db->Freeze();
-  return db;
-}
-
-TEST(SnapshotTest, V3RoundTripPreservesCompactIndex) {
+// The compact element index was removed; its v3 snapshot flag byte
+// stays in the format (always written 0). A file written with the flag
+// set — by a build that had the index and a caller that enabled it — is
+// NotSupported, with or without the compact section that followed it.
+TEST(SnapshotTest, CompactIndexFlagIsNotSupported) {
   std::string shadow;
-  auto db = BuildCompactSample(&shadow);
-  ASSERT_NE(db->compact_index(), nullptr) << "Freeze must build it";
-
+  auto db = BuildSample(LogMode::kLazyDynamic, &shadow);
   auto blob = SerializeDatabase(*db).ValueOrDie();
-  auto restored = DeserializeDatabase(blob).ValueOrDie();
-  // The compact index travels with the snapshot: present immediately,
-  // no rebuild, record-for-record equal to the restored tree (the
-  // scrubber's I-COMPACT section proves it via CheckInvariants).
-  ASSERT_NE(restored->compact_index(), nullptr);
-  EXPECT_EQ(restored->compact_index()->total_records(),
-            restored->element_index().size());
-  ASSERT_TRUE(restored->CheckInvariants().ok());
-  ExpectEquivalent(db.get(), restored.get(), shadow);
-
-  // Truncations inside the trailing compact section fail cleanly (the
-  // deserializer fully validates every block before adopting).
-  for (size_t back = 1; back < 20 && back < blob.size(); ++back) {
-    auto r = DeserializeDatabase(
-        std::string_view(blob).substr(0, blob.size() - back));
-    EXPECT_FALSE(r.ok()) << "cut " << back << " bytes off the tail";
+  ASSERT_EQ(blob.back(), '\0');
+  std::string flagged = blob;
+  flagged.back() = 1;
+  for (const std::string& tail : {std::string(), std::string(64, '\x5a')}) {
+    auto r = DeserializeDatabase(flagged + tail);
+    ASSERT_FALSE(r.ok());
+    EXPECT_TRUE(r.status().IsNotSupported()) << r.status().ToString();
+    EXPECT_NE(r.status().message().find("compact"), std::string::npos);
   }
 }
 
 TEST(SnapshotTest, SnapshotWithoutCompactIndexLoadsWithoutOne) {
   std::string shadow;
   auto db = BuildSample(LogMode::kLazyDynamic, &shadow);
-  EXPECT_EQ(db->compact_index(), nullptr);
   auto blob = SerializeDatabase(*db).ValueOrDie();
+  EXPECT_EQ(blob.back(), '\0') << "the compact-index flag is always 0";
   auto restored = DeserializeDatabase(blob).ValueOrDie();
-  EXPECT_EQ(restored->compact_index(), nullptr);
   ExpectEquivalent(db.get(), restored.get(), shadow);
 }
 
-// Transcodes a current-version blob (no compact index) to the v2
+// Transcodes a current-version blob to the v2
 // layout: v3 added the trailing compact-index flag byte and v4 added a
 // tag id to every nesting summary entry; everything else is
 // byte-identical. Reconstructing the legacy blob structurally keeps the
@@ -317,7 +294,6 @@ TEST(SnapshotTest, Version2SnapshotsStillLoad) {
   auto blob = SerializeDatabase(*db).ValueOrDie();
   const std::string v2 = TranscodeToV2(blob);
   auto restored = DeserializeDatabase(v2).ValueOrDie();
-  EXPECT_EQ(restored->compact_index(), nullptr);
   ASSERT_TRUE(restored->CheckInvariants().ok());
   ExpectEquivalent(db.get(), restored.get(), shadow);
 }

@@ -8,12 +8,12 @@
 //    inside removed gaps included;
 //  * a randomized property suite: random XMark documents, chopped and
 //    updated, random patterns in all three syntaxes, equal to the naive
-//    oracle over {LD, LS} x {summary on, off} x {compact on, off} x
-//    {1, 4} threads.
+//    oracle over {LD, LS} x {summary on, off}.
 
 #include "query/query_eval.h"
 
 #include <algorithm>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -118,41 +118,33 @@ TEST(QueryEvalGoldenTest, PerfbenchTemplatesMatchThePriorEvaluators) {
   const std::vector<testutil::QueryTemplate> templates =
       testutil::PerfbenchTemplates();
   ASSERT_EQ(templates.size(), std::size(kGolden));
-  for (bool accelerated : {false, true}) {
-    LazyDatabaseOptions opts;
-    if (accelerated) {
-      opts.query.num_threads = 4;
-      opts.query.use_compact_index = true;
+  LazyDatabase db;
+  ASSERT_TRUE(testutil::BuildTemplateStore(&db));
+  for (size_t i = 0; i < templates.size(); ++i) {
+    const testutil::QueryTemplate& t = templates[i];
+    SCOPED_TRACE(std::string(t.verb) + " " + t.expr);
+    const QuerySyntax syntax = SyntaxOf(t.verb);
+    auto r = EvaluateQuery(&db, syntax, t.expr);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    const XPathResult& xr = r.ValueOrDie();
+    std::string rows;
+    if (syntax == QuerySyntax::kXPath) {
+      ASSERT_EQ(xr.elements.size(), xr.refs.size());
+      for (const GlobalElement& e : xr.elements) {
+        rows += std::to_string(e.start) + " " + std::to_string(e.end) + "\n";
+      }
+    } else {
+      for (const LazyElementRef& e : xr.refs) {
+        rows += std::to_string(e.sid) + " " + std::to_string(e.start) + "\n";
+      }
     }
-    LazyDatabase db(opts);
-    ASSERT_TRUE(testutil::BuildTemplateStore(&db));
-    for (size_t i = 0; i < templates.size(); ++i) {
-      const testutil::QueryTemplate& t = templates[i];
-      SCOPED_TRACE(std::string(t.verb) + " " + t.expr +
-                   (accelerated ? " (4 threads, compact)" : ""));
-      const QuerySyntax syntax = SyntaxOf(t.verb);
-      auto r = EvaluateQuery(&db, syntax, t.expr);
-      ASSERT_TRUE(r.ok()) << r.status().ToString();
-      const XPathResult& xr = r.ValueOrDie();
-      std::string rows;
-      if (syntax == QuerySyntax::kXPath) {
-        ASSERT_EQ(xr.elements.size(), xr.refs.size());
-        for (const GlobalElement& e : xr.elements) {
-          rows += std::to_string(e.start) + " " + std::to_string(e.end) + "\n";
-        }
-      } else {
-        for (const LazyElementRef& e : xr.refs) {
-          rows += std::to_string(e.sid) + " " + std::to_string(e.start) + "\n";
-        }
-      }
-      EXPECT_EQ(xr.refs.size(), kGolden[i].count);
-      EXPECT_EQ(Fnv1a(rows), kGolden[i].rows_fnv);
-      if (syntax != QuerySyntax::kTwig) {
-        EXPECT_EQ(xr.intermediate_pairs, kGolden[i].pairs);
-      }
-      if (syntax != QuerySyntax::kPath) {
-        EXPECT_EQ(xr.joins_executed, kGolden[i].joins);
-      }
+    EXPECT_EQ(xr.refs.size(), kGolden[i].count);
+    EXPECT_EQ(Fnv1a(rows), kGolden[i].rows_fnv);
+    if (syntax != QuerySyntax::kTwig) {
+      EXPECT_EQ(xr.intermediate_pairs, kGolden[i].pairs);
+    }
+    if (syntax != QuerySyntax::kPath) {
+      EXPECT_EQ(xr.joins_executed, kGolden[i].joins);
     }
   }
 }
@@ -321,17 +313,20 @@ XPathStep SampleStep(Random* rng, const DocTree& doc, size_t node,
 struct GridPoint {
   LogMode mode;
   bool summary;
-  bool compact;
-  size_t threads;
 };
 
-std::string GridName(const ::testing::TestParamInfo<GridPoint>& info) {
-  const GridPoint& g = info.param;
+std::string GridLabel(const GridPoint& g) {
   return std::string(g.mode == LogMode::kLazyDynamic ? "LD" : "LS") +
-         (g.summary ? "_summary" : "_nosummary") +
-         (g.compact ? "_compact" : "_tree") + "_t" +
-         std::to_string(g.threads);
+         (g.summary ? "_summary" : "_nosummary");
 }
+
+std::string GridName(const ::testing::TestParamInfo<GridPoint>& info) {
+  return GridLabel(info.param);
+}
+
+// gtest prints a parameter without a printer as raw bytes, padding
+// included; print the label so the listed test names are stable.
+void PrintTo(const GridPoint& g, std::ostream* os) { *os << GridLabel(g); }
 
 class QueryEvalPropertyTest : public ::testing::TestWithParam<GridPoint> {};
 
@@ -358,8 +353,6 @@ TEST_P(QueryEvalPropertyTest, AllSyntaxesEqualTheNaiveOracle) {
     LazyDatabaseOptions opts;
     opts.mode = g.mode;
     opts.query.use_path_summary = g.summary;
-    opts.query.use_compact_index = g.compact;
-    opts.query.num_threads = g.threads;
     LazyDatabase db(opts);
     ASSERT_TRUE(db.ApplyPlan(plan.ValueOrDie().insertions).ok());
 
@@ -413,11 +406,7 @@ std::vector<GridPoint> Grid() {
   std::vector<GridPoint> grid;
   for (LogMode mode : {LogMode::kLazyDynamic, LogMode::kLazyStatic}) {
     for (bool summary : {true, false}) {
-      for (bool compact : {false, true}) {
-        for (size_t threads : {size_t{1}, size_t{4}}) {
-          grid.push_back(GridPoint{mode, summary, compact, threads});
-        }
-      }
+      grid.push_back(GridPoint{mode, summary});
     }
   }
   return grid;

@@ -533,13 +533,12 @@ TEST(ServerDurableTest, ScriptedSessionMatchesInProcess) {
 
 // A durable query with pending pre-query work takes the lock exclusive
 // and does that work before it evaluates, like ConcurrentLazyDatabase:
-// here a rejected insert leaves the path summary and the compact index
-// stale, and the next query must still see a summary fresh at the
-// current epoch, which proves the pattern empty without a join.
+// here a rejected insert leaves the path summary stale, and the next
+// query must still see a summary fresh at the current epoch, which
+// proves the pattern empty without a join.
 TEST(ServerDurableTest, QueryRebuildsStaleSummaryAndCompactIndexFirst) {
   ServerEngineOptions eng_options;
   eng_options.data_dir = FreshDir("dur_stale_query");
-  eng_options.db.query.use_compact_index = true;
   auto e = ServerEngine::Open(eng_options);
   ASSERT_TRUE(e.ok()) << e.status().ToString();
   ServerEngine& engine = *e.ValueOrDie();
@@ -549,7 +548,7 @@ TEST(ServerDurableTest, QueryRebuildsStaleSummaryAndCompactIndexFirst) {
   ASSERT_TRUE(first.ok()) << first.status().ToString();
   EXPECT_TRUE(first.ValueOrDie().summary_empty);
 
-  // Out of bounds: rejected after the epoch bump, which stales both.
+  // Out of bounds: rejected after the epoch bump, which stales it.
   EXPECT_FALSE(engine.Insert("<a/>", 1000).ok());
   auto after = engine.Xpath("b//a", QuerySyntax::kPath);
   ASSERT_TRUE(after.ok()) << after.status().ToString();
@@ -563,13 +562,12 @@ TEST(ServerDurableTest, QueryRebuildsStaleSummaryAndCompactIndexFirst) {
   EXPECT_TRUE(report.ValueOrDie().ok()) << report.ValueOrDie().ToString();
 }
 
-// Readers query a durable LD engine with the compact index on while a
-// writer appends: every write stales the compact index, and no query
-// may rebuild it under the shared lock (TSan).
+// Readers query a durable LD engine while a writer appends: a write
+// that cannot maintain the path summary stales it, and no query may
+// rebuild it under the shared lock (TSan).
 TEST(ServerDurableTest, CompactIndexQueriesUnderWritesStorm) {
   ServerEngineOptions eng_options;
   eng_options.data_dir = FreshDir("dur_compact_storm");
-  eng_options.db.query.use_compact_index = true;
   auto e = ServerEngine::Open(eng_options);
   ASSERT_TRUE(e.ok()) << e.status().ToString();
   ServerEngine& engine = *e.ValueOrDie();
