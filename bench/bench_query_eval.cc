@@ -5,7 +5,10 @@
 //    (EvaluateQuery, the server's entry point) on that workload's corpus
 //    shape: XMark with 8000 persons (seed 3) chopped into 1000 balanced
 //    segments, default query options (path summary on). No server, lock
-//    or writer. The label names the template.
+//    or writer. The label names the template. Every row is built.
+//  * BM_TemplateListed/<i>: the same, building only the first 1000 rows,
+//    the server's default listing cap (`results` stays the full count,
+//    `listed` is the rows built).
 //  * BM_Join/<i>: one Lazy-Join edge of those templates (JoinByName,
 //    path summary on) on the same corpus; `pairs` is its output size.
 //    The label names the edge. item/incategory, item/location and
@@ -120,22 +123,36 @@ LazyDatabase* Corpus() {
   return db;
 }
 
-void BM_Template(benchmark::State& state) {
+/// The server's default listing cap (server::SessionLimits::
+/// max_result_elements): a reply lists at most this many rows.
+constexpr size_t kServerListing = 1000;
+
+void RunTemplate(benchmark::State& state, size_t max_rows) {
   const Template& t = Templates()[static_cast<size_t>(state.range(0))];
   LazyDatabase* db = Corpus();
   XPathResult last;
   for (auto _ : state) {
-    auto r = EvaluateQuery(db, t.syntax, t.expr);
+    auto r = EvaluateQuery(db, t.syntax, t.expr, {}, max_rows);
     LAZYXML_CHECK(r.ok());
     last = std::move(r).ValueOrDie();
     benchmark::DoNotOptimize(last.refs.data());
   }
-  state.counters["results"] = static_cast<double>(last.refs.size());
+  state.counters["results"] = static_cast<double>(last.count);
+  state.counters["listed"] = static_cast<double>(last.refs.size());
   state.counters["joins"] = static_cast<double>(last.joins_executed);
   state.counters["pairs"] = static_cast<double>(last.intermediate_pairs);
   state.SetLabel(std::string(t.verb) + " " + t.expr);
 }
+
+void BM_Template(benchmark::State& state) { RunTemplate(state, kAllRows); }
 BENCHMARK(BM_Template)
+    ->DenseRange(0, 25)
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_TemplateListed(benchmark::State& state) {
+  RunTemplate(state, kServerListing);
+}
+BENCHMARK(BM_TemplateListed)
     ->DenseRange(0, 25)
     ->Unit(benchmark::kMicrosecond);
 

@@ -2,16 +2,21 @@
 // text, canonical Format/reparse round-trip on accepted inputs, then the
 // compile oracle: the Lazy-Join evaluation (summary-pruned AND unpruned)
 // must return exactly the elements a naive tree walk returns on a small
-// fixed document. Parse failures must be typed InvalidArgument, never a
-// crash; evaluation must be total over every accepted expression.
+// fixed document, and an answer cut to a few rows must keep the exact
+// count and list a prefix of the full answer. Parse failures must be
+// typed InvalidArgument, never a crash; evaluation must be total over
+// every accepted expression.
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "core/lazy_database.h"
 #include "fuzz_common.h"
+#include "query/query_eval.h"
 #include "query/xpath.h"
 
 using namespace lazyxml;
@@ -110,6 +115,30 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     // A summary-proved empty answer must not have scanned anything.
     FUZZ_ASSERT(pruned.ValueOrDie().joins_executed == 0);
     FUZZ_ASSERT(naive.ValueOrDie().empty());
+  }
+
+  // Listing cap: a limited answer keeps the exact count and lists a
+  // prefix of the full one, in lazy and in global coordinates, with the
+  // summary on and off.
+  const size_t max_rows = size % 4;
+  const std::pair<LazyDatabase*, const XPathResult*> runs[] = {
+      {docs.with_summary.get(), &pruned.ValueOrDie()},
+      {docs.without_summary.get(), &unpruned.ValueOrDie()}};
+  for (const auto& [db, full] : runs) {
+    FUZZ_ASSERT(full->count == full->refs.size());
+    for (bool global : {true, false}) {
+      auto cut = EvaluateSteps(db, steps, {}, global, max_rows);
+      FUZZ_ASSERT(cut.ok());
+      const XPathResult& c = cut.ValueOrDie();
+      FUZZ_ASSERT(c.count == full->count);
+      FUZZ_ASSERT(c.refs.size() == std::min(max_rows, full->refs.size()));
+      FUZZ_ASSERT(std::equal(c.refs.begin(), c.refs.end(),
+                             full->refs.begin()));
+      FUZZ_ASSERT(c.elements.size() ==
+                  (global ? c.refs.size() : size_t{0}));
+      FUZZ_ASSERT(std::equal(c.elements.begin(), c.elements.end(),
+                             full->elements.begin()));
+    }
   }
   return 0;
 }

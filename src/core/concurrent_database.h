@@ -187,14 +187,17 @@ class ConcurrentLazyDatabase {
         [&](LazyDatabase& db) { return db.JoinGlobal(anc, desc, options); });
   }
 
-  /// Structural query in any of the three syntaxes (query/xpath.h). The
-  /// evaluator only CONSULTS the epoch-gated path summary (it never
-  /// rebuilds one), so the shared-lock path is race-free; callers must
-  /// link lazyxml_query.
+  /// Structural query in any of the three syntaxes (query/xpath.h),
+  /// listing at most `max_rows` elements (EvaluateQuery). The evaluator
+  /// only CONSULTS the epoch-gated path summary (it never rebuilds one),
+  /// so the shared-lock path is race-free; callers must link
+  /// lazyxml_query.
   Result<XPathResult> Xpath(std::string_view expr,
-                            QuerySyntax syntax = QuerySyntax::kXPath) {
-    return ReadQuery(
-        [&](LazyDatabase& db) { return EvaluateQuery(&db, syntax, expr); });
+                            QuerySyntax syntax = QuerySyntax::kXPath,
+                            size_t max_rows = kAllRows) {
+    return ReadQuery([&](LazyDatabase& db) {
+      return EvaluateQuery(&db, syntax, expr, {}, max_rows);
+    });
   }
 
   /// Pins the current state and returns a snapshot-isolated ReadView

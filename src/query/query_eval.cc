@@ -54,12 +54,20 @@ namespace {
 //
 // Matches the pattern against the path summary: a summary node "matches
 // step i" when its tag passes the name test, it holds a live element,
-// its path chains from a step i-1 match along the step's axis, and
-// every predicate of the step is satisfiable beneath it. Each condition
-// is NECESSARY for a real element chain (every element lies on its
+// its path chains from a step i-1 match along the step's axis, every
+// predicate of the step is satisfiable beneath it, and (backward pass)
+// some step i+1 match chains from it. Each condition is NECESSARY for an
+// element chain that reaches the last step (every element lies on its
 // root-to-tag path; axes translate to path-tree edges; existence needs
 // count > 0), so an empty match set proves the answer empty and the
 // matched tags are a complete wildcard expansion (docs/PATH_SUMMARY.md).
+//
+// Without predicates the forward conditions are also SUFFICIENT: an
+// element's ancestors are exactly the elements on its path's prefixes,
+// so an element matches steps[0..i] iff its node is a forward step-i
+// match. When the (backward-pruned, hence smaller) step-i matches of a
+// tag hold every live element of the tag, the step selects every element
+// of that tag, and no join is needed to find them.
 
 bool StepTagMatches(const PathSummary& ps, uint32_t node,
                     const XPathStep& step, const TagDict& dict) {
@@ -136,6 +144,22 @@ std::vector<std::vector<uint32_t>> MatchSummary(
         matched[i].push_back(n);
       }
     }
+  }
+  if (matched.back().empty()) return matched;  // an empty proof
+  // Backward pass: keep a step i-1 node only if a step i match chains
+  // from it (its parent for '/', any proper ancestor for '//').
+  std::vector<uint8_t> chains(ps.num_nodes());
+  for (size_t i = steps.size(); i-- > 1;) {
+    std::fill(chains.begin(), chains.end(), 0);
+    for (uint32_t n : matched[i]) {
+      for (uint32_t a = ps.parent(n);
+           a != PathSummary::kNoNode && a != PathSummary::kRootNode;
+           a = ps.parent(a)) {
+        chains[a] = 1;
+        if (!steps[i].descendant_axis) break;
+      }
+    }
+    std::erase_if(matched[i - 1], [&chains](uint32_t n) { return !chains[n]; });
   }
   return matched;
 }
@@ -302,13 +326,30 @@ struct Evaluator {
     return sets;
   }
 
+  /// True when the summary nodes of `match` with tag `tid` hold every
+  /// live element of `tid`.
+  bool CoversTag(const std::vector<uint32_t>& match, TagId tid) const {
+    uint64_t covered = 0;
+    for (uint32_t n : match) {
+      if (summary->tag(n) == tid) covered += summary->count(n);
+    }
+    return covered == summary->TagCount(tid);
+  }
+
   /// Forward step: the candidate-tag elements with a parent (child axis)
-  /// or an ancestor (descendant axis) in `ctx`.
+  /// or an ancestor (descendant axis) in `ctx`. `exact` says the steps
+  /// before this one carry no predicate, so the summary match is the
+  /// step's exact answer (see "Summary pattern matching"): a candidate
+  /// tag whose every element it covers needs no join.
   Result<TagSets> Forward(const TagSets& ctx, const XPathStep& step,
-                          const std::vector<uint32_t>* match) {
+                          const std::vector<uint32_t>* match, bool exact) {
     TagSets out;
     std::vector<const std::vector<LazyJoinPair>*> joins(ctx.size());
     for (TagId d : CandidateTags(step, match)) {
+      if (exact && CoversTag(*match, d)) {
+        out.push_back(ElementSet{d, true, {}});
+        continue;
+      }
       ElementSet next{d, false, {}};
       size_t total = 0;
       for (size_t k = 0; k < ctx.size(); ++k) {
@@ -420,21 +461,34 @@ struct Evaluator {
     return Status::OK();
   }
 
-  /// Turns an "every element" set into its sorted element list.
-  void Materialize(ElementSet* set) {
+  /// Turns an "every element" set into its first `max_rows` elements in
+  /// (sid, start) order and returns the size of the whole set, the sum of
+  /// the tag-list counts. The tag list is walked by ascending sid and each
+  /// run is in start order (core/element_index.h), so the rows come out
+  /// sorted and distinct with no sort, and a short listing reads only the
+  /// lowest-sid runs.
+  uint64_t Materialize(ElementSet* set, size_t max_rows) {
     const std::span<const TagListEntry> entries =
         db->update_log().tag_list().EntriesFor(set->tid);
+    std::vector<SegmentId> sids;
+    sids.reserve(entries.size());
     uint64_t total = 0;
-    for (const TagListEntry& e : entries) total += e.count;
-    set->refs.reserve(total);
     for (const TagListEntry& e : entries) {
-      ElementScan scan = db->GetScan(set->tid, e.sid());
-      for (const LocalElement& el : *scan) {
-        set->refs.push_back(LazyElementRef{e.sid(), el.start});
+      sids.push_back(e.sid());
+      total += e.count;
+    }
+    std::sort(sids.begin(), sids.end());
+    set->refs.reserve(std::min<uint64_t>(total, max_rows));
+    for (SegmentId sid : sids) {
+      if (set->refs.size() == max_rows) break;
+      ElementScan scan = db->GetScan(set->tid, sid);
+      const size_t take = std::min(scan->size(), max_rows - set->refs.size());
+      for (size_t k = 0; k < take; ++k) {
+        set->refs.push_back(LazyElementRef{sid, (*scan)[k].start});
       }
     }
     set->all = false;
-    SortRefs(&set->refs);
+    return total;
   }
 
   /// Appends the global intervals of `set`'s elements to `out`.
@@ -462,23 +516,37 @@ struct Evaluator {
   }
 
   Status Run(const std::vector<XPathStep>& steps,
-             const std::vector<std::vector<uint32_t>>* matched, bool global) {
+             const std::vector<std::vector<uint32_t>>* matched, bool global,
+             size_t max_rows) {
     const auto match = [matched](size_t i) {
       return matched != nullptr ? &(*matched)[i] : nullptr;
     };
     TagSets cur = EveryElement(CandidateTags(steps[0], match(0)));
     LAZYXML_RETURN_NOT_OK(ApplyPredicates(&cur, steps[0]));
+    bool exact = matched != nullptr;
     for (size_t i = 1; i < steps.size() && !cur.empty(); ++i) {
-      LAZYXML_ASSIGN_OR_RETURN(cur, Forward(cur, steps[i], match(i)));
+      exact = exact && steps[i - 1].predicates.empty();
+      LAZYXML_ASSIGN_OR_RETURN(cur, Forward(cur, steps[i], match(i), exact));
       LAZYXML_RETURN_NOT_OK(ApplyPredicates(&cur, steps[i]));
     }
-    size_t total = 0;
-    for (ElementSet& set : cur) {
-      if (set.all) Materialize(&set);
-      total += set.refs.size();
+    if (!global && cur.size() == 1) {
+      // One tag: its set is already in reply order, so only the listed
+      // rows are built.
+      ElementSet& set = cur[0];
+      result.count = set.all ? Materialize(&set, max_rows) : set.refs.size();
+      if (set.refs.size() > max_rows) set.refs.resize(max_rows);
+      result.refs = std::move(set.refs);
+      return Status::OK();
     }
-    result.refs.reserve(total);
-    if (global) result.elements.reserve(total);
+    // Several tags interleave (wildcard answers), and global order needs
+    // every element's offsets: build every row, then list the first. Sets
+    // of distinct tags hold distinct elements.
+    for (ElementSet& set : cur) {
+      if (set.all) Materialize(&set, kAllRows);
+      result.count += set.refs.size();
+    }
+    result.refs.reserve(result.count);
+    if (global) result.elements.reserve(result.count);
     GlobalConverter conv;
     for (const ElementSet& set : cur) {
       if (global) {
@@ -486,10 +554,11 @@ struct Evaluator {
       }
       result.refs.insert(result.refs.end(), set.refs.begin(), set.refs.end());
     }
-    // Sets of distinct tags hold distinct elements; only the cross-tag
-    // interleaving (wildcard answers) needs a sort.
+    // Only the cross-tag interleaving (wildcard answers) needs a sort.
     if (cur.size() > 1) std::sort(result.refs.begin(), result.refs.end());
     std::sort(result.elements.begin(), result.elements.end());
+    if (result.refs.size() > max_rows) result.refs.resize(max_rows);
+    if (result.elements.size() > max_rows) result.elements.resize(max_rows);
     return Status::OK();
   }
 };
@@ -498,8 +567,8 @@ struct Evaluator {
 
 Result<XPathResult> EvaluateSteps(QueryFacade* db,
                                   const std::vector<XPathStep>& steps,
-                                  const LazyJoinOptions& options,
-                                  bool global) {
+                                  const LazyJoinOptions& options, bool global,
+                                  size_t max_rows) {
   if (db == nullptr) return Status::InvalidArgument("query: null database");
   if (steps.empty()) return Status::InvalidArgument("query: empty expression");
   Evaluator ev;
@@ -520,7 +589,8 @@ Result<XPathResult> EvaluateSteps(QueryFacade* db,
   }
   db->Freeze();  // tag lists are read directly, not only through joins
   LAZYXML_RETURN_NOT_OK(
-      ev.Run(steps, ev.summary != nullptr ? &matched : nullptr, global));
+      ev.Run(steps, ev.summary != nullptr ? &matched : nullptr, global,
+             max_rows));
   return std::move(ev.result);
 }
 

@@ -26,6 +26,19 @@
 // per-segment runs and orders the runs by sid; a segment split over two
 // runs falls back to one full sort.
 //
+// Summary-exact steps. With a fresh path summary, a forward step whose
+// earlier steps carry no predicate is answered by the summary alone when
+// its matched summary nodes hold every live element of a candidate tag:
+// the step's set for that tag is "every element", and no join runs
+// (docs/PATH_SUMMARY.md has the argument).
+//
+// Listing. Every answer carries its exact count. A caller may ask for
+// only the first N rows; when the answer is "every element" of one tag
+// (PATH and TWIG have no wildcards, so one tag at most), the count is the
+// sum of the tag-list counts and only the N rows of the lowest-sid runs
+// are built, walked in sid order so they need no sort. XPATH still builds
+// and converts every row: global order needs all of them.
+//
 // Global offsets. Nothing above computes a global label. When the reply
 // needs them (XPATH), the final sets are converted with one
 // GlobalConverter (core/global_converter.h): the matching scan record
@@ -43,12 +56,12 @@
 
 namespace lazyxml {
 
-/// Evaluates parsed `steps` over `db`. Fills `refs`, and `elements` too
-/// when `global` is set.
+/// Evaluates parsed `steps` over `db`. Sets the exact `count` and fills
+/// the first `max_rows` `refs`, and `elements` too when `global` is set.
 Result<XPathResult> EvaluateSteps(QueryFacade* db,
                                   const std::vector<XPathStep>& steps,
-                                  const LazyJoinOptions& options,
-                                  bool global);
+                                  const LazyJoinOptions& options, bool global,
+                                  size_t max_rows = kAllRows);
 
 /// Sorts `refs` by (sid, start) and removes duplicates (the normalizing
 /// merge described above; exposed for tests).

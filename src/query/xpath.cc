@@ -202,10 +202,12 @@ Result<XPathResult> EvaluateXPath(QueryFacade* db, std::string_view expr,
 
 Result<XPathResult> EvaluateQuery(QueryFacade* db, QuerySyntax syntax,
                                   std::string_view expr,
-                                  const LazyJoinOptions& options) {
+                                  const LazyJoinOptions& options,
+                                  size_t max_rows) {
   LAZYXML_ASSIGN_OR_RETURN(std::vector<XPathStep> steps,
                            ParseQuery(syntax, expr));
-  return EvaluateSteps(db, steps, options, syntax == QuerySyntax::kXPath);
+  return EvaluateSteps(db, steps, options, syntax == QuerySyntax::kXPath,
+                       max_rows);
 }
 
 Result<std::vector<GlobalElement>> EvaluatePathHolistic(

@@ -29,8 +29,11 @@
 // against the path summary (query/path_summary.h) when one is fresh:
 //  * a pattern reaching no summary node is answered empty with ZERO tag
 //    list scans (XPathResult::summary_empty);
-//  * wildcard steps expand to exactly the tags the summary proved can
-//    occur at that pattern position (without a summary: every tag);
+//  * wildcard steps expand to the tags the summary proved can occur at
+//    that pattern position with a match of the next step below them
+//    (without a summary: every tag);
+//  * a step after predicate-free steps whose summary match holds every
+//    element of a tag selects all of them without a join;
 //  * predicates are reordered most-selective-first by the summary's
 //    qualifying counts (pure existence tests commute).
 // The result is byte-identical with and without the summary — pruning
@@ -39,6 +42,7 @@
 #ifndef LAZYXML_QUERY_XPATH_H_
 #define LAZYXML_QUERY_XPATH_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -99,17 +103,26 @@ struct LazyElementRef {
   }
 };
 
+/// `max_rows` value that lists every matching element.
+inline constexpr size_t kAllRows = SIZE_MAX;
+
 /// Query evaluation result.
 struct XPathResult {
-  /// Matching final-step elements in lazy identity, sorted by
-  /// (sid, start), distinct — what PATH and TWIG replies list.
+  /// Matching final-step elements: exactly `count`, listed or not.
+  uint64_t count = 0;
+  /// The first min(count, max_rows) matching final-step elements in lazy
+  /// identity, sorted by (sid, start), distinct — what PATH and TWIG
+  /// replies list.
   std::vector<LazyElementRef> refs;
-  /// The same elements in global coordinates, sorted. Filled for the
-  /// XPATH syntax only (global offsets are computed for replies alone).
+  /// The first min(count, max_rows) matching elements in global
+  /// coordinates, sorted. Filled for the XPATH syntax only (global
+  /// offsets are computed for replies alone).
   std::vector<GlobalElement> elements;
-  /// Distinct Lazy-Joins executed (0 when the summary answered).
+  /// Distinct Lazy-Joins executed: the work done, so 0 when the summary
+  /// answered alone (an empty proof, or summary-exact steps).
   uint64_t joins_executed = 0;
-  /// Join pairs materialized across all joins (work measure).
+  /// Join pairs materialized across all joins (work measure; 0 when no
+  /// join ran).
   uint64_t intermediate_pairs = 0;
   /// True when the path summary proved the answer empty before any tag
   /// list was scanned.
@@ -130,10 +143,13 @@ Result<XPathResult> EvaluateXPath(QueryFacade* db, std::string_view expr,
                                   const LazyJoinOptions& options = {});
 
 /// Parses `expr` as `syntax` and evaluates it: `refs` always, `elements`
-/// only for QuerySyntax::kXPath. The one entry point of all three verbs.
+/// only for QuerySyntax::kXPath, each cut to the first `max_rows` (the
+/// server passes its per-session listing cap; `count` stays exact). The
+/// one entry point of all three verbs.
 Result<XPathResult> EvaluateQuery(QueryFacade* db, QuerySyntax syntax,
                                   std::string_view expr,
-                                  const LazyJoinOptions& options = {});
+                                  const LazyJoinOptions& options = {},
+                                  size_t max_rows = kAllRows);
 
 /// Alternative strategy for predicate- and wildcard-free paths: PathStack
 /// (Bruno et al. [2]) over element lists materialized in global

@@ -411,10 +411,12 @@ ExecuteOutcome RunCommand(ServerEngine* engine, SessionContext* session,
                                  : cmd.kind == CommandKind::kTwig
                                      ? QuerySyntax::kTwig
                                      : QuerySyntax::kXPath;
-      auto r = engine->Xpath(cmd.expr, syntax);
+      // The evaluator builds only the rows the reply lists.
+      auto r = engine->Xpath(cmd.expr, syntax,
+                             session->limits().max_result_elements);
       if (!r.ok()) return Fail(r.status());
       const XPathResult& xr = r.ValueOrDie();
-      const size_t count = xr.refs.size();
+      const size_t count = xr.count;
       const size_t listed = std::min(session->limits().max_result_elements,
                                      count);
       const bool global = syntax == QuerySyntax::kXPath;

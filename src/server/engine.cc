@@ -65,8 +65,8 @@ Status ServerEngine::Freeze() {
 }
 
 Result<XPathResult> ServerEngine::Xpath(std::string_view expr,
-                                        QuerySyntax syntax) {
-  if (mem_ != nullptr) return mem_->Xpath(expr, syntax);
+                                        QuerySyntax syntax, size_t max_rows) {
+  if (mem_ != nullptr) return mem_->Xpath(expr, syntax, max_rows);
   // The routing of ConcurrentLazyDatabase::ReadQuery: shared while no
   // pre-query work is pending, else exclusive to do it first — journal an
   // LS freeze point, then rebuild a stale path summary — so a query never
@@ -74,13 +74,13 @@ Result<XPathResult> ServerEngine::Xpath(std::string_view expr,
   {
     std::shared_lock lock(dur_mu_);
     if (!dur_->database().QueryNeedsExclusive()) {
-      return EvaluateQuery(&dur_->database(), syntax, expr);
+      return EvaluateQuery(&dur_->database(), syntax, expr, {}, max_rows);
     }
   }
   std::unique_lock lock(dur_mu_);
   LAZYXML_RETURN_NOT_OK(dur_->Freeze());
   dur_->database().Freeze();
-  return EvaluateQuery(&dur_->database(), syntax, expr);
+  return EvaluateQuery(&dur_->database(), syntax, expr, {}, max_rows);
 }
 
 Result<check::CheckReport> ServerEngine::Check() {

@@ -79,9 +79,11 @@ class ServerEngine {
   // -- Queries ----------------------------------------------------------------
 
   /// PATH, TWIG and XPATH: one evaluator, `syntax` picks the admitted
-  /// subset and whether global offsets are computed (XPATH only).
+  /// subset and whether global offsets are computed (XPATH only). At most
+  /// `max_rows` elements are listed; the count is exact.
   Result<XPathResult> Xpath(std::string_view expr,
-                            QuerySyntax syntax = QuerySyntax::kXPath);
+                            QuerySyntax syntax = QuerySyntax::kXPath,
+                            size_t max_rows = kAllRows);
 
   // -- Introspection ----------------------------------------------------------
 

@@ -20,7 +20,7 @@ std::string SyntheticGenerator::PickTag() {
   } else {
     idx = rng_.Uniform(config_.num_tags);
   }
-  return "t" + std::to_string(idx);
+  return StringPrintf("t%llu", static_cast<unsigned long long>(idx));
 }
 
 void SyntheticGenerator::EmitText(std::string* out) {

@@ -148,6 +148,61 @@ TEST(MvccTest, MutableBypassPoisonsOpenViews) {
   EXPECT_TRUE(fresh.ValueOrDie().JoinByName("A", "D").ok());
 }
 
+// A summary-exact answer ("every b") and a short listing of it read the
+// view's pinned summary, tag list and runs, never the live ones: the rows
+// stay identical while a writer commits inserts and removals of b.
+TEST(MvccTest, SummaryExactAnswersStayPinnedWhileAWriterCommits) {
+  ConcurrentLazyDatabase db;
+  ASSERT_TRUE(db.InsertSegment("<r><a><b/></a><a><b/><b/></a></r>", 0).ok());
+  auto view_or = db.OpenView();
+  ASSERT_TRUE(view_or.ok());
+  ReadView view = std::move(view_or).ValueOrDie();
+  const XPathResult full = view.Xpath("a/b", QuerySyntax::kPath).ValueOrDie();
+  ASSERT_EQ(full.joins_executed, 0u);
+  ASSERT_EQ(full.count, 3u);
+  const auto first_two = [&view] {
+    return view
+        .Query([](QueryFacade& f) {
+          return EvaluateQuery(&f, QuerySyntax::kPath, "a/b", {}, 2);
+        })
+        .ValueOrDie();
+  };
+  const XPathResult cut = first_two();
+  ASSERT_EQ(cut.refs.size(), 2u);
+  const XPathResult global = view.Xpath("a/b").ValueOrDie();
+
+  constexpr int kWrites = 50;
+  std::atomic<bool> done{false};
+  std::thread writer([&db, &done] {
+    for (int i = 0; i < kWrites; ++i) {
+      // Just inside <r>; every third write takes the newest <a> out again.
+      EXPECT_TRUE(db.InsertSegment("<a><b/></a>", 3).ok());
+      if (i % 3 == 2) {
+        EXPECT_TRUE(db.RemoveSegment(3, 11).ok());
+      }
+    }
+    done.store(true);
+  });
+  int reads = 0;
+  do {
+    const XPathResult f =
+        view.Xpath("a/b", QuerySyntax::kPath).ValueOrDie();
+    EXPECT_EQ(f.count, full.count);
+    EXPECT_EQ(f.refs, full.refs);
+    const XPathResult c = first_two();
+    EXPECT_EQ(c.count, full.count);
+    EXPECT_EQ(c.refs, cut.refs);
+    EXPECT_EQ(view.Xpath("a/b").ValueOrDie().elements, global.elements);
+    ++reads;
+  } while (!done.load() && !HasFailure());
+  writer.join();
+  EXPECT_GT(reads, 0);
+  // The live database moved on: 3 + 50 inserted - 16 removed.
+  EXPECT_EQ(db.Xpath("a/b", QuerySyntax::kPath).ValueOrDie().count, 37u);
+  EXPECT_EQ(view.Xpath("a/b", QuerySyntax::kPath).ValueOrDie().refs,
+            full.refs);
+}
+
 TEST(MvccTest, ConcurrentViewsShareOneSnapshotPerEpoch) {
   ConcurrentLazyDatabase db;
   ASSERT_TRUE(db.InsertSegment(kBase, 0).ok());

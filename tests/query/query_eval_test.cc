@@ -2,17 +2,23 @@
 // global converter (core/global_converter.h):
 //  * the normalizing merge;
 //  * the perfbench templates answer byte-identically to the evaluators
-//    this one replaced (goldens recorded from them on the same store);
+//    this one replaced (goldens recorded from them on the same store),
+//    with the path summary on and off;
+//  * summary-exact steps run no join, and a stale or disabled summary
+//    falls back to the joins; limited listings are prefixes of the full
+//    answer with the exact count;
 //  * the converter equals the linear walk (SegmentNode::FrozenToGlobal)
 //    at every frozen offset, splices at element boundaries and offsets
 //    inside removed gaps included;
 //  * a randomized property suite: random XMark documents, chopped and
 //    updated, random patterns in all three syntaxes, equal to the naive
-//    oracle over {LD, LS} x {summary on, off}.
+//    oracle over {LD, LS} x {summary on, off}, and every limited answer a
+//    prefix of the unlimited one.
 
 #include "query/query_eval.h"
 
 #include <algorithm>
+#include <memory>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -62,90 +68,200 @@ uint64_t Fnv1a(const std::string& s) {
 }
 
 TEST(QueryEvalGoldenTest, PerfbenchTemplatesMatchThePriorEvaluators) {
-  // COUNT, PAIRS, JOINS and the FNV-1a hash of every reply row ("sid
-  // start" for PATH and TWIG, "start end" for XPATH), recorded from the
-  // per-verb PATH, TWIG and XPath evaluators on
-  // testutil::BuildTemplateStore. The PATH evaluator reported no JOINS.
+  // COUNT and the FNV-1a hash of every reply row ("sid start" for PATH
+  // and TWIG, "start end" for XPATH), recorded from the per-verb PATH,
+  // TWIG and XPath evaluators on testutil::BuildTemplateStore; both must
+  // hold with the path summary on and off. PAIRS and JOINS count the work
+  // done, so each run has its own: with the summary on, summary-exact
+  // steps run no join (docs/PATH_SUMMARY.md); with it off, every step
+  // joins, wildcards expand to every tag and nothing is proved empty.
   struct Golden {
     size_t count;
     uint64_t pairs;
     uint64_t joins;
+    uint64_t off_pairs;
+    uint64_t off_joins;
     uint64_t rows_fnv;
   };
   static const Golden kGolden[] = {
-      {971, 971, 0, 0xa36079cddac74f43ull},  // PATH person//phone
-      {1411, 1411, 0, 0x9fe56d1726b1b65full},  // PATH profile//interest
-      {1803, 1803, 0, 0xff32945242758f13ull},  // PATH watches//watch
-      {1803, 1803, 0, 0xff32945242758f13ull},  // PATH person//watch
-      {1411, 1411, 0, 0x9fe56d1726b1b65full},  // PATH person//interest
-      {398, 796, 0, 0x20e14063b1dd2524ull},  // PATH person/address/city
-      {398, 796, 0, 0xdbae5ad6f23d33f1ull},  // PATH people/person/name
-      {159, 318, 0, 0xb141475e8bd2f19eull},  // PATH open_auction/bidder/personref
-      {50, 50, 0, 0x098a387d8a102ca9ull},  // PATH closed_auction/price
-      {398, 796, 0, 0x6ab3e3391061671cull},  // PATH person/profile/age
-      {1411, 1809, 2, 0x9fe56d1726b1b65full},  // TWIG person[profile]//interest
-      {971, 1369, 2, 0xa36079cddac74f43ull},  // TWIG person[watches]/phone
-      {78, 259, 2, 0x7a199fbb55053fa3ull},  // TWIG open_auction[bidder]/seller
-      {80, 160, 2, 0x7771374ba5160596ull},  // TWIG item[incategory]/location
-      {398, 1194, 3, 0x1077715693464125ull},  // TWIG person[address[zipcode]]/emailaddress
-      {50, 100, 2, 0x836d4a4d3d0ec946ull},  // XPATH //closed_auction[buyer]/price
-      {78, 418, 3, 0x9af4693413a15352ull},  // XPATH //open_auction[bidder/personref]/seller
-      {80, 245, 12, 0x0b21a419546a20c6ull},  // XPATH //regions/*/item[incategory]/location
-      {10, 110, 3, 0x7c14852cadd340adull},  // XPATH //category[description/text]/name
-      {159, 1018, 16, 0xda43b6339b1ea14cull},  // XPATH //open_auction/*/personref
-      {50, 100, 2, 0xed94b81aa5d7f965ull},  // XPATH //closed_auction[buyer]/itemref
-      {0, 0, 0, 0x14650fb0739d0383ull},  // XPATH //phone//person
-      {0, 0, 0, 0x14650fb0739d0383ull},  // XPATH //interest//watch
-      {0, 0, 0, 0x14650fb0739d0383ull},  // XPATH //watch/name
-      {0, 0, 0, 0x14650fb0739d0383ull},  // XPATH //address//profile
-      {0, 0, 0, 0x14650fb0739d0383ull},  // XPATH //item//person
-      {50, 50, 0, 0xc47218997ff1fe1aull},  // PATH registration/email
-      {50, 100, 0, 0x167b51f2ccae7b9dull},  // PATH registrations/registration/id
-      {44, 88, 0, 0x56d0174eedfad6f4ull},  // PATH batch/article/title
-      {79, 79, 0, 0x1114176c0506edbcull},  // PATH registration//topic
-      {398, 796, 0, 0xe738cc5a22ca7884ull},  // PATH person/address/zipcode
-      {36, 179, 3, 0x3affd65052d0e4e0ull},  // TWIG registration[preferences/topic]/email
-      {31, 78, 2, 0x61860e97b8e52311ull},  // TWIG article[year]/author
-      {398, 796, 2, 0xdbae5ad6f23d33f1ull},  // TWIG person[watches]/name
-      {35, 103, 2, 0x1ab7ce9858b14630ull},  // XPATH //registration[phone]/name
-      {21, 122, 3, 0xd81b5878e3a62d62ull},  // XPATH //batch/article[author]/year
-      {50, 100, 2, 0xc54ff319b5cc72c5ull},  // XPATH //registrations/*/occupation
-      {398, 1194, 3, 0xa51b55dcce5dc25dull},  // XPATH //person[profile/business]/emailaddress
-      {0, 0, 0, 0x14650fb0739d0383ull},  // XPATH //registration//person
-      {0, 0, 0, 0x14650fb0739d0383ull},  // XPATH //article//registration
-      {0, 0, 0, 0x14650fb0739d0383ull},  // XPATH //topic//phone
+      {971, 971, 1, 971, 1, 0xa36079cddac74f43ull},  // PATH person//phone
+      {1411, 0, 0, 1411, 1, 0x9fe56d1726b1b65full},  // PATH profile//interest
+      {1803, 0, 0, 1803, 1, 0xff32945242758f13ull},  // PATH watches//watch
+      {1803, 0, 0, 1803, 1, 0xff32945242758f13ull},  // PATH person//watch
+      {1411, 0, 0, 1411, 1, 0x9fe56d1726b1b65full},  // PATH person//interest
+      {398, 0, 0, 796, 2, 0x20e14063b1dd2524ull},  // PATH person/address/city
+      {398, 398, 1, 796, 2, 0xdbae5ad6f23d33f1ull},  // PATH people/person/name
+      {159, 0, 0, 318, 2, 0xb141475e8bd2f19eull},  // PATH open_auction/bidder/personref
+      {50, 0, 0, 50, 1, 0x098a387d8a102ca9ull},  // PATH closed_auction/price
+      {398, 0, 0, 796, 2, 0x6ab3e3391061671cull},  // PATH person/profile/age
+      {1411, 1809, 2, 1809, 2, 0x9fe56d1726b1b65full},  // TWIG person[profile]//interest
+      {971, 1369, 2, 1369, 2, 0xa36079cddac74f43ull},  // TWIG person[watches]/phone
+      {78, 259, 2, 259, 2, 0x7a199fbb55053fa3ull},  // TWIG open_auction[bidder]/seller
+      {80, 160, 2, 160, 2, 0x7771374ba5160596ull},  // TWIG item[incategory]/location
+      {398, 1194, 3, 1194, 3, 0x1077715693464125ull},  // TWIG person[address[zipcode]]/emailaddress
+      {50, 100, 2, 100, 2, 0x836d4a4d3d0ec946ull},  // XPATH //closed_auction[buyer]/price
+      {78, 418, 3, 418, 3, 0x9af4693413a15352ull},  // XPATH //open_auction[bidder/personref]/seller
+      {80, 160, 2, 245, 72, 0x0b21a419546a20c6ull},  // XPATH //regions/*/item[incategory]/location
+      {10, 110, 3, 110, 3, 0x7c14852cadd340adull},  // XPATH //category[description/text]/name
+      {159, 0, 0, 1018, 73, 0xda43b6339b1ea14cull},  // XPATH //open_auction/*/personref
+      {50, 100, 2, 100, 2, 0xed94b81aa5d7f965ull},  // XPATH //closed_auction[buyer]/itemref
+      {0, 0, 0, 0, 1, 0x14650fb0739d0383ull},  // XPATH //phone//person
+      {0, 0, 0, 0, 1, 0x14650fb0739d0383ull},  // XPATH //interest//watch
+      {0, 0, 0, 0, 1, 0x14650fb0739d0383ull},  // XPATH //watch/name
+      {0, 0, 0, 0, 1, 0x14650fb0739d0383ull},  // XPATH //address//profile
+      {0, 0, 0, 0, 1, 0x14650fb0739d0383ull},  // XPATH //item//person
+      {50, 0, 0, 50, 1, 0xc47218997ff1fe1aull},  // PATH registration/email
+      {50, 0, 0, 100, 2, 0x167b51f2ccae7b9dull},  // PATH registrations/registration/id
+      {44, 0, 0, 88, 2, 0x56d0174eedfad6f4ull},  // PATH batch/article/title
+      {79, 0, 0, 79, 1, 0x1114176c0506edbcull},  // PATH registration//topic
+      {398, 0, 0, 796, 2, 0xe738cc5a22ca7884ull},  // PATH person/address/zipcode
+      {36, 179, 3, 179, 3, 0x3affd65052d0e4e0ull},  // TWIG registration[preferences/topic]/email
+      {31, 78, 2, 78, 2, 0x61860e97b8e52311ull},  // TWIG article[year]/author
+      {398, 796, 2, 796, 2, 0xdbae5ad6f23d33f1ull},  // TWIG person[watches]/name
+      {35, 103, 2, 103, 2, 0x1ab7ce9858b14630ull},  // XPATH //registration[phone]/name
+      {21, 78, 2, 122, 3, 0xd81b5878e3a62d62ull},  // XPATH //batch/article[author]/year
+      {50, 0, 0, 100, 66, 0xc54ff319b5cc72c5ull},  // XPATH //registrations/*/occupation
+      {398, 1194, 3, 1194, 3, 0xa51b55dcce5dc25dull},  // XPATH //person[profile/business]/emailaddress
+      {0, 0, 0, 0, 1, 0x14650fb0739d0383ull},  // XPATH //registration//person
+      {0, 0, 0, 0, 1, 0x14650fb0739d0383ull},  // XPATH //article//registration
+      {0, 0, 0, 0, 1, 0x14650fb0739d0383ull},  // XPATH //topic//phone
   };
   const std::vector<testutil::QueryTemplate> templates =
       testutil::PerfbenchTemplates();
   ASSERT_EQ(templates.size(), std::size(kGolden));
+  for (bool summary : {true, false}) {
+    SCOPED_TRACE(summary ? "summary on" : "summary off");
+    LazyDatabaseOptions opts;
+    opts.query.use_path_summary = summary;
+    LazyDatabase db(opts);
+    ASSERT_TRUE(testutil::BuildTemplateStore(&db));
+    for (size_t i = 0; i < templates.size(); ++i) {
+      const testutil::QueryTemplate& t = templates[i];
+      SCOPED_TRACE(std::string(t.verb) + " " + t.expr);
+      const QuerySyntax syntax = SyntaxOf(t.verb);
+      auto r = EvaluateQuery(&db, syntax, t.expr);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      const XPathResult& xr = r.ValueOrDie();
+      std::string rows;
+      if (syntax == QuerySyntax::kXPath) {
+        ASSERT_EQ(xr.elements.size(), xr.refs.size());
+        for (const GlobalElement& e : xr.elements) {
+          rows += std::to_string(e.start) + " " + std::to_string(e.end) + "\n";
+        }
+      } else {
+        for (const LazyElementRef& e : xr.refs) {
+          rows += std::to_string(e.sid) + " " + std::to_string(e.start) + "\n";
+        }
+      }
+      EXPECT_EQ(xr.count, kGolden[i].count);
+      EXPECT_EQ(xr.refs.size(), kGolden[i].count);
+      EXPECT_EQ(Fnv1a(rows), kGolden[i].rows_fnv);
+      EXPECT_EQ(xr.intermediate_pairs,
+                summary ? kGolden[i].pairs : kGolden[i].off_pairs);
+      EXPECT_EQ(xr.joins_executed,
+                summary ? kGolden[i].joins : kGolden[i].off_joins);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Summary-exact steps and limited listings.
+
+// Every b lies below an a, every a and x below r; c lies below a/b and x.
+constexpr const char* kExactDoc =
+    "<r><a><b><c/></b></a><a><b><c/></b><d/></a><x><c/><d/></x></r>";
+
+TEST(QueryEvalSummaryExactTest, CoveredStepsRunNoJoin) {
   LazyDatabase db;
-  ASSERT_TRUE(testutil::BuildTemplateStore(&db));
-  for (size_t i = 0; i < templates.size(); ++i) {
-    const testutil::QueryTemplate& t = templates[i];
-    SCOPED_TRACE(std::string(t.verb) + " " + t.expr);
-    const QuerySyntax syntax = SyntaxOf(t.verb);
-    auto r = EvaluateQuery(&db, syntax, t.expr);
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-    const XPathResult& xr = r.ValueOrDie();
-    std::string rows;
-    if (syntax == QuerySyntax::kXPath) {
-      ASSERT_EQ(xr.elements.size(), xr.refs.size());
-      for (const GlobalElement& e : xr.elements) {
-        rows += std::to_string(e.start) + " " + std::to_string(e.end) + "\n";
-      }
-    } else {
-      for (const LazyElementRef& e : xr.refs) {
-        rows += std::to_string(e.sid) + " " + std::to_string(e.start) + "\n";
-      }
+  ASSERT_TRUE(db.InsertSegment(kExactDoc, 0).ok());
+  db.Freeze();
+  ASSERT_NE(db.path_summary(), nullptr);
+  struct Case {
+    QuerySyntax syntax;
+    const char* expr;
+    size_t count;
+    uint64_t joins;
+  };
+  const Case kCases[] = {
+      {QuerySyntax::kPath, "a/b", 2, 0},
+      {QuerySyntax::kPath, "r/a/b", 2, 0},
+      {QuerySyntax::kPath, "r//c", 3, 0},
+      {QuerySyntax::kXPath, "r/*/b", 2, 0},
+      // c also lies below x: the b/c edge joins.
+      {QuerySyntax::kPath, "a/b/c", 2, 1},
+      // The backward pass narrows * to x, the only step-1 tag with a c
+      // child: one join (x/c) instead of two (a/c, x/c).
+      {QuerySyntax::kXPath, "r/*/c", 1, 1},
+      // A predicate before the step makes the summary inexact: a/d, a/b.
+      {QuerySyntax::kTwig, "a[d]/b", 1, 2},
+  };
+  for (const Case& c : kCases) {
+    SCOPED_TRACE(c.expr);
+    const XPathResult r = testutil::ExpectMatchesNaive(&db, c.syntax, c.expr);
+    EXPECT_EQ(r.count, c.count);
+    EXPECT_EQ(r.refs.size(), c.count);
+    EXPECT_EQ(r.joins_executed, c.joins);
+    if (c.joins == 0) {
+      EXPECT_EQ(r.intermediate_pairs, 0u);
     }
-    EXPECT_EQ(xr.refs.size(), kGolden[i].count);
-    EXPECT_EQ(Fnv1a(rows), kGolden[i].rows_fnv);
-    if (syntax != QuerySyntax::kTwig) {
-      EXPECT_EQ(xr.intermediate_pairs, kGolden[i].pairs);
-    }
-    if (syntax != QuerySyntax::kPath) {
-      EXPECT_EQ(xr.joins_executed, kGolden[i].joins);
-    }
+  }
+}
+
+TEST(QueryEvalSummaryExactTest, StaleOrDisabledSummaryFallsBackToJoins) {
+  LazyDatabase live;
+  ASSERT_TRUE(live.InsertSegment(kExactDoc, 0).ok());
+  live.Freeze();
+  const XPathResult exact =
+      EvaluateQuery(&live, QuerySyntax::kPath, "a/b").ValueOrDie();
+  ASSERT_EQ(exact.joins_executed, 0u);
+
+  // Going around the facade stales the summary: it is not consulted.
+  (void)live.mutable_update_log();
+  ASSERT_EQ(live.path_summary(), nullptr);
+  const XPathResult stale =
+      testutil::ExpectMatchesNaive(&live, QuerySyntax::kPath, "a/b");
+  EXPECT_EQ(stale.joins_executed, 1u);
+  EXPECT_EQ(stale.intermediate_pairs, 2u);
+  EXPECT_EQ(stale.refs, exact.refs);
+
+  LazyDatabaseOptions opts;
+  opts.query.use_path_summary = false;
+  LazyDatabase off(opts);
+  ASSERT_TRUE(off.InsertSegment(kExactDoc, 0).ok());
+  const XPathResult disabled =
+      testutil::ExpectMatchesNaive(&off, QuerySyntax::kPath, "a/b");
+  EXPECT_EQ(disabled.joins_executed, 1u);
+  EXPECT_EQ(disabled.refs, exact.refs);
+}
+
+TEST(QueryEvalSummaryExactTest, ListingReadsRunsInSidOrder) {
+  // Segment 2 lands before segment 1 in the document, so the tag list
+  // holds c's entries in the order (2, 1); rows are listed by sid.
+  LazyDatabase db;
+  ASSERT_TRUE(db.InsertSegment("<r><c/><c/></r>", 0).ok());
+  ASSERT_TRUE(db.InsertSegment("<c/>", 0).ok());
+  db.Freeze();
+  const XPathResult full =
+      testutil::ExpectMatchesNaive(&db, QuerySyntax::kPath, "c");
+  ASSERT_EQ(full.refs.size(), 3u);
+  EXPECT_EQ(full.refs.front().sid, 1u);
+  EXPECT_EQ(full.refs.back().sid, 2u);
+  for (size_t max_rows : {0, 1, 2, 3, 4}) {
+    SCOPED_TRACE("max_rows " + std::to_string(max_rows));
+    const XPathResult cut =
+        EvaluateQuery(&db, QuerySyntax::kPath, "c", {}, max_rows)
+            .ValueOrDie();
+    EXPECT_EQ(cut.count, 3u);
+    EXPECT_EQ(cut.refs,
+              std::vector<LazyElementRef>(
+                  full.refs.begin(),
+                  full.refs.begin() +
+                      static_cast<ptrdiff_t>(std::min<size_t>(max_rows, 3))));
+    const XPathResult global =
+        EvaluateQuery(&db, QuerySyntax::kXPath, "c", {}, max_rows)
+            .ValueOrDie();
+    EXPECT_EQ(global.count, 3u);
+    EXPECT_EQ(global.elements.size(), std::min<size_t>(max_rows, 3));
   }
 }
 
@@ -330,57 +446,68 @@ void PrintTo(const GridPoint& g, std::ostream* os) { *os << GridLabel(g); }
 
 class QueryEvalPropertyTest : public ::testing::TestWithParam<GridPoint> {};
 
+/// A random XMark document, chopped into segments, then churned by random
+/// inserts at element boundaries and just inside start tags and random
+/// whole-element removals; `*shadow` is the document text it must hold.
+void BuildChurnedStore(const GridPoint& g, uint64_t seed, Random* rng,
+                       std::unique_ptr<LazyDatabase>* out,
+                       std::string* shadow) {
+  XMarkConfig cfg;
+  cfg.seed = seed;
+  cfg.num_persons = 8;
+  cfg.num_items = 4;
+  cfg.num_categories = 3;
+  cfg.num_open_auctions = 3;
+  cfg.num_closed_auctions = 2;
+  *shadow = XMarkGenerator(cfg).Generate().ValueOrDie();
+  ChopConfig chop;
+  chop.num_segments = 8;
+  chop.shape = seed % 2 == 0 ? ErTreeShape::kNested : ErTreeShape::kBalanced;
+  chop.allow_fewer = true;
+  auto plan = BuildChopPlan(*shadow, chop);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+
+  LazyDatabaseOptions opts;
+  opts.mode = g.mode;
+  opts.query.use_path_summary = g.summary;
+  *out = std::make_unique<LazyDatabase>(opts);
+  LazyDatabase& db = **out;
+  ASSERT_TRUE(db.ApplyPlan(plan.ValueOrDie().insertions).ok());
+
+  for (int op = 0; op < 12; ++op) {
+    TagDict dict;
+    const auto records = ParseFragment(*shadow, &dict).ValueOrDie().records;
+    const ElementRecord& around = records[rng->Uniform(records.size())];
+    if (records.size() > 1 && rng->Bernoulli(0.3) && around.start > 0) {
+      ASSERT_TRUE(
+          db.RemoveSegment(around.start, around.end - around.start).ok());
+      testutil::SpliceRemove(shadow, around.start, around.end - around.start);
+      continue;
+    }
+    uint64_t gp = around.start;
+    if (around.start == 0 || rng->Bernoulli(0.5)) {
+      gp = shadow->find('>', around.start) + 1;  // just inside
+    } else if (rng->Bernoulli(0.5)) {
+      gp = around.end;
+    }
+    const std::string frag = RandomFragment(rng);
+    ASSERT_TRUE(db.InsertSegment(frag, gp).ok());
+    testutil::SpliceInsert(shadow, frag, gp);
+  }
+  db.Freeze();
+  ASSERT_TRUE(db.CheckInvariants().ok());
+}
+
 TEST_P(QueryEvalPropertyTest, AllSyntaxesEqualTheNaiveOracle) {
   const GridPoint g = GetParam();
   for (uint64_t seed = 1; seed <= 3; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     Random rng(seed * 7919);
-    XMarkConfig cfg;
-    cfg.seed = seed;
-    cfg.num_persons = 8;
-    cfg.num_items = 4;
-    cfg.num_categories = 3;
-    cfg.num_open_auctions = 3;
-    cfg.num_closed_auctions = 2;
-    std::string shadow = XMarkGenerator(cfg).Generate().ValueOrDie();
-    ChopConfig chop;
-    chop.num_segments = 8;
-    chop.shape = seed % 2 == 0 ? ErTreeShape::kNested : ErTreeShape::kBalanced;
-    chop.allow_fewer = true;
-    auto plan = BuildChopPlan(shadow, chop);
-    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-
-    LazyDatabaseOptions opts;
-    opts.mode = g.mode;
-    opts.query.use_path_summary = g.summary;
-    LazyDatabase db(opts);
-    ASSERT_TRUE(db.ApplyPlan(plan.ValueOrDie().insertions).ok());
-
-    // Random inserts at element boundaries and just inside start tags,
-    // and random whole-element removals.
-    for (int op = 0; op < 12; ++op) {
-      TagDict dict;
-      const auto records = ParseFragment(shadow, &dict).ValueOrDie().records;
-      const ElementRecord& around = records[rng.Uniform(records.size())];
-      if (records.size() > 1 && rng.Bernoulli(0.3) && around.start > 0) {
-        ASSERT_TRUE(
-            db.RemoveSegment(around.start, around.end - around.start).ok());
-        testutil::SpliceRemove(&shadow, around.start,
-                               around.end - around.start);
-        continue;
-      }
-      uint64_t gp = around.start;
-      if (around.start == 0 || rng.Bernoulli(0.5)) {
-        gp = shadow.find('>', around.start) + 1;  // just inside
-      } else if (rng.Bernoulli(0.5)) {
-        gp = around.end;
-      }
-      const std::string frag = RandomFragment(&rng);
-      ASSERT_TRUE(db.InsertSegment(frag, gp).ok());
-      testutil::SpliceInsert(&shadow, frag, gp);
-    }
-    db.Freeze();
-    ASSERT_TRUE(db.CheckInvariants().ok());
+    std::unique_ptr<LazyDatabase> store;
+    std::string shadow;
+    BuildChurnedStore(g, seed, &rng, &store, &shadow);
+    if (HasFatalFailure()) return;
+    LazyDatabase& db = *store;
     ExpectConverterMatchesLinearWalk(db);
 
     const DocTree doc(shadow);
@@ -399,6 +526,59 @@ TEST_P(QueryEvalPropertyTest, AllSyntaxesEqualTheNaiveOracle) {
       if (::testing::Test::HasFailure()) return;
     }
     EXPECT_GE(nonempty, 12) << "the patterns must select something";
+  }
+}
+
+TEST_P(QueryEvalPropertyTest, LimitedAnswersArePrefixesWithExactCounts) {
+  const GridPoint g = GetParam();
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Random rng(seed * 104729);
+    std::unique_ptr<LazyDatabase> store;
+    std::string shadow;
+    BuildChurnedStore(g, seed, &rng, &store, &shadow);
+    if (HasFatalFailure()) return;
+    LazyDatabase& db = *store;
+
+    const DocTree doc(shadow);
+    for (int q = 0; q < 24; ++q) {
+      const int kind = static_cast<int>(rng.Uniform(3));
+      const std::string expr = FormatXPath(SamplePath(
+          &rng, doc, SIZE_MAX, rng.Uniform(doc.names.size()), 0,
+          /*wildcards=*/kind == 2, /*predicates=*/kind >= 1));
+      for (QuerySyntax syntax :
+           {QuerySyntax::kPath, QuerySyntax::kTwig, QuerySyntax::kXPath}) {
+        if ((syntax == QuerySyntax::kPath && kind != 0) ||
+            (syntax == QuerySyntax::kTwig && kind == 2)) {
+          continue;
+        }
+        SCOPED_TRACE(expr + " as syntax " +
+                     std::to_string(static_cast<int>(syntax)));
+        const XPathResult full =
+            EvaluateQuery(&db, syntax, expr).ValueOrDie();
+        ASSERT_EQ(full.count, full.refs.size());
+        const size_t n = full.refs.size();
+        for (size_t max_rows : {size_t{0}, size_t{1}, n / 2, n, n + 1}) {
+          const XPathResult cut =
+              EvaluateQuery(&db, syntax, expr, {}, max_rows).ValueOrDie();
+          const size_t listed = std::min(n, max_rows);
+          EXPECT_EQ(cut.count, full.count) << "max_rows " << max_rows;
+          EXPECT_EQ(cut.refs, std::vector<LazyElementRef>(
+                                  full.refs.begin(),
+                                  full.refs.begin() +
+                                      static_cast<ptrdiff_t>(listed)))
+              << "max_rows " << max_rows;
+          EXPECT_EQ(cut.elements,
+                    std::vector<GlobalElement>(
+                        full.elements.begin(),
+                        full.elements.begin() +
+                            static_cast<ptrdiff_t>(std::min(
+                                full.elements.size(), max_rows))))
+              << "max_rows " << max_rows;
+        }
+        if (HasFailure()) return;
+      }
+    }
   }
 }
 

@@ -252,7 +252,9 @@ std::string RandomStep(Random* rng, int depth) {
   std::string out = rng->Bernoulli(0.2) ? std::string("*")
                                         : std::string(kRandTags[rng->Uniform(4)]);
   if (depth < 2 && rng->Bernoulli(0.3)) {
-    out += "[" + RandomStep(rng, depth + 1) + "]";
+    out += '[';
+    out += RandomStep(rng, depth + 1);
+    out += ']';
   }
   return out;
 }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/strings.h"
+
 namespace lazyxml {
 namespace {
 
@@ -49,7 +51,7 @@ TEST(TagDictTest, CaseSensitive) {
 TEST(TagDictTest, ManyTags) {
   TagDict d;
   for (int i = 0; i < 1000; ++i) {
-    EXPECT_EQ(d.Intern("t" + std::to_string(i)), static_cast<TagId>(i));
+    EXPECT_EQ(d.Intern(StringPrintf("t%d", i)), static_cast<TagId>(i));
   }
   EXPECT_EQ(d.size(), 1000u);
   EXPECT_EQ(d.Name(537), "t537");
