@@ -1,19 +1,17 @@
-// ThreadPool: a reusable work-stealing thread pool for request execution.
+// ThreadPool: a fixed-size FIFO thread pool for request execution.
 //
-// Each worker owns a deque; Submit distributes tasks round-robin, a
-// worker pops its own deque LIFO (cache-warm) and steals FIFO from a
-// victim when empty (oldest task first, the classic work-stealing
-// discipline).
+// One mutex guards one deque: Submit pushes to the back and every worker
+// pops from the front, so tasks start in submission order. The server
+// runs each session's commands as pool tasks (server/server.h), so a
+// request that was submitted first also starts first.
 //
 // The pool is deliberately small and dependency-free (std::thread only):
-// parallelism in this codebase is between requests — the server runs
-// each session's commands as pool tasks (server/server.h) — while every
-// query runs serially on the task that carries it.
+// parallelism in this codebase is between requests, while every query
+// runs serially on the task that carries it.
 
 #ifndef LAZYXML_COMMON_THREAD_POOL_H_
 #define LAZYXML_COMMON_THREAD_POOL_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -24,7 +22,7 @@
 
 namespace lazyxml {
 
-/// A fixed-size work-stealing thread pool.
+/// A fixed-size FIFO thread pool.
 class ThreadPool {
  public:
   /// Spawns `num_threads` workers (clamped to >= 1).
@@ -32,12 +30,12 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Drains the queues: every task submitted before destruction is run
+  /// Drains the queue: every task submitted before destruction is run
   /// before the workers exit.
   ~ThreadPool();
 
   /// Number of worker threads (>= 1).
-  size_t num_threads() const { return workers_.size(); }
+  size_t num_threads() const { return threads_.size(); }
 
   /// Enqueues `fn` for asynchronous execution. Thread-safe.
   void Submit(std::function<void()> fn);
@@ -61,27 +59,18 @@ class ThreadPool {
   static ThreadPool* Shared();
 
  private:
-  struct Worker {
-    std::mutex mu;
-    std::deque<std::function<void()>> deque;
-  };
+  void WorkerLoop();
 
-  void WorkerLoop(size_t self);
-  /// Pops from own deque (back) or steals from a victim (front).
-  bool TryRunOneTask(size_t self);
-
-  std::vector<std::unique_ptr<Worker>> workers_;
+  std::mutex mu_;
+  std::condition_variable work_cv_;  ///< queue non-empty or stopping
+  std::condition_variable idle_cv_;  ///< queue empty and nothing running
+  std::deque<std::function<void()>> queue_;
+  /// Claimed tasks currently executing; with queue_ it is WaitIdle's
+  /// predicate, both read under mu_.
+  size_t active_ = 0;
+  bool stop_ = false;
+  /// Last: the workers use every member above.
   std::vector<std::thread> threads_;
-  std::mutex wake_mu_;
-  std::condition_variable wake_cv_;
-  std::condition_variable idle_cv_;
-  std::atomic<size_t> next_queue_{0};
-  std::atomic<uint64_t> pending_{0};
-  /// Claimed tasks currently executing. Incremented BEFORE the matching
-  /// pending_ decrement so pending_ + active_ never transiently reads 0
-  /// while a task is live (WaitIdle's predicate depends on that).
-  std::atomic<uint64_t> active_{0};
-  std::atomic<bool> stop_{false};
 };
 
 }  // namespace lazyxml

@@ -18,6 +18,14 @@
 // dropped between them, readers are admitted *during* a bulk load
 // instead of stalling behind it.
 //
+// One discipline for both deployment shapes: the wrapper either owns its
+// LazyDatabase (in memory) or locks one it does not own — the durable
+// shape passes DurableLazyDatabase::database(), whose update capture
+// journals every mutation, LS freeze points included, from inside the
+// LazyDatabase call (core/update_capture.h). So the same critical
+// sections cover the WAL appends, and a durable store gets OpenView and
+// chunked batches with no second locking layer (server/engine.h).
+//
 // Liveness: the lock is a TicketSharedMutex (common/ticket_rwlock.h),
 // a writer-priority ticket gate — a pending writer closes admission to
 // new readers, so an unbounded stream of overlapping readers can no
@@ -29,6 +37,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <memory>
 #include <mutex>
 #include <shared_mutex>
 #include <string_view>
@@ -46,24 +55,28 @@ namespace lazyxml {
 /// Thread-safe lazy XML database.
 class ConcurrentLazyDatabase {
  public:
+  /// Owns a fresh in-memory database.
   explicit ConcurrentLazyDatabase(LazyDatabaseOptions options = {})
-      : db_(options) {}
+      : owned_(std::make_unique<LazyDatabase>(options)), db_(*owned_) {}
+  /// Locks `*db`, which it does not own; `*db` must outlive the wrapper
+  /// and be reached only through it while other threads are live.
+  explicit ConcurrentLazyDatabase(LazyDatabase* db) : db_(*db) {}
   ConcurrentLazyDatabase(const ConcurrentLazyDatabase&) = delete;
   ConcurrentLazyDatabase& operator=(const ConcurrentLazyDatabase&) = delete;
 
  private:
   /// Shared-lock fast path when no deferred pre-query work is pending;
-  /// exclusive fallback performs it (Freeze) and runs the query while
-  /// still holding the lock. (Defined before its callers: the deduced
-  /// `auto` return type needs the body visible at each call site.)
+  /// exclusive fallback performs it (Freeze, which journals an LS freeze
+  /// point through the update capture) and runs the query while still
+  /// holding the lock. A failed Freeze is the query's error.
   template <typename Fn>
-  auto ReadQuery(Fn&& fn) {
+  auto ReadQuery(Fn&& fn) -> decltype(fn(std::declval<LazyDatabase&>())) {
     {
       std::shared_lock lock(mu_);
       if (!db_.QueryNeedsExclusive()) return fn(db_);
     }
     std::unique_lock lock(mu_);
-    db_.Freeze();
+    LAZYXML_RETURN_NOT_OK(db_.Freeze());
     return fn(db_);
   }
 
@@ -166,9 +179,9 @@ class ConcurrentLazyDatabase {
   /// Performs the deferred pre-query work eagerly (exclusive: LS freeze,
   /// summary build). No-op when nothing is pending, matching
   /// LazyDatabase::Freeze.
-  void Freeze() {
+  Status Freeze() {
     std::unique_lock lock(mu_);
-    db_.Freeze();
+    return db_.Freeze();
   }
 
   // -- Queries (shared once serviceable; exclusive only to freeze) -----------
@@ -263,7 +276,8 @@ class ConcurrentLazyDatabase {
 
  private:
   TicketSharedMutex mu_;
-  LazyDatabase db_;
+  std::unique_ptr<LazyDatabase> owned_;  ///< null when not owned
+  LazyDatabase& db_;
   std::atomic<size_t> batch_chunk_ops_{0};
 };
 

@@ -622,9 +622,17 @@ Status LazyDatabase::CompactAll() {
   return Status::OK();
 }
 
-void LazyDatabase::Freeze() {
-  log_.Freeze();
+Status LazyDatabase::Freeze() {
+  LAZYXML_RETURN_NOT_OK(FreezeLog());
   (void)EnsurePathSummary();
+  return Status::OK();
+}
+
+Status LazyDatabase::FreezeLog() {
+  const bool was_frozen = log_.frozen();  // always true in LD
+  log_.Freeze();
+  if (was_frozen || capture_ == nullptr) return Status::OK();
+  return capture_->OnFreeze();
 }
 
 Status LazyDatabase::EnsurePathSummary() {
@@ -786,48 +794,9 @@ uint32_t LazyDatabase::SummaryNodeOfElement(const SegmentNode& seg,
 Result<LazyJoinResult> LazyDatabase::JoinByName(
     std::string_view ancestor_tag, std::string_view descendant_tag,
     const LazyJoinOptions& options) {
-  log_.Freeze();  // no-op in LD / when already clean
-  auto a = dict_.Lookup(ancestor_tag);
-  auto d = dict_.Lookup(descendant_tag);
-  if (!a.ok() || !d.ok()) return LazyJoinResult{};  // unknown tag: empty
-  const TagId atid = a.ValueOrDie();
-  const TagId dtid = d.ValueOrDie();
-
-  // Path-summary pruning. Consult-only: a stale summary yields nullptr
-  // and the join simply runs unpruned — never rebuilt here, because this
-  // path executes under ConcurrentLazyDatabase's *shared* lock (rebuilds
-  // happen in Freeze / SetQueryOptions / restore, all exclusive).
-  JoinPrune prune;
-  if (const PathSummary* ps = path_summary()) {
-    prune = ps->ComputeJoinPrune(atid, dtid, options.parent_child);
-  }
-  LazyJoinOptions jopts = options;
-  if (prune.usable) {
-    if (prune.provably_empty) {
-      // Answered in O(summary): no tag list is scanned, no element is
-      // fetched. The stats report what the unpruned join would have had
-      // to consider.
-      LazyJoinResult out;
-      for (const TagListEntry& e : log_.tag_list().EntriesFor(atid)) {
-        ++out.stats.segments_pruned;
-        out.stats.elements_skipped += e.count;
-      }
-      for (const TagListEntry& e : log_.tag_list().EntriesFor(dtid)) {
-        ++out.stats.segments_pruned;
-        out.stats.elements_skipped += e.count;
-      }
-      LAZYXML_METRIC_COUNTER(pruned_joins, "query.joins_pruned_total");
-      LAZYXML_METRIC_COUNTER(pruned_segs, "query.segments_pruned_total");
-      LAZYXML_METRIC_COUNTER(skipped, "query.elements_skipped_total");
-      pruned_joins.Increment();
-      pruned_segs.Add(out.stats.segments_pruned);
-      skipped.Add(out.stats.elements_skipped);
-      return out;
-    }
-    jopts.ancestor_sid_filter = &prune.ancestor_sids;
-    jopts.descendant_sid_filter = &prune.descendant_sids;
-  }
-  return LazyJoin(log_, index_, atid, dtid, jopts);
+  LAZYXML_RETURN_NOT_OK(FreezeLog());  // no-op in LD / when already clean
+  return LazyJoinByName(log_, index_, dict_, path_summary(), ancestor_tag,
+                        descendant_tag, options, nullptr);
 }
 
 bool LazyDatabase::QueryNeedsExclusive() const {
@@ -842,7 +811,7 @@ bool LazyDatabase::QueryNeedsExclusive() const {
 Result<std::unique_ptr<SnapshotReader>> LazyDatabase::OpenReadView() {
   // No-ops when the state is already serviceable (the shared-lock fast
   // path of ConcurrentLazyDatabase::OpenView relies on exactly that).
-  Freeze();
+  LAZYXML_RETURN_NOT_OK(Freeze());
   if (!log_.frozen() || !log_.tag_list().sorted()) {
     return Status::Internal("cannot pin a view on an unserviceable log");
   }

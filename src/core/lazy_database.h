@@ -141,8 +141,9 @@ class LazyDatabase : public QueryFacade {
   // from QueryFacade, implemented once over the virtuals below.
 
   /// LS mode: performs the pre-query work explicitly (benches time it),
-  /// and rebuilds a stale path summary.
-  void Freeze() override;
+  /// and rebuilds a stale path summary. Freezing an unfrozen LS log fires
+  /// the update capture's OnFreeze, whose error is returned.
+  Status Freeze() override;
 
   // -- Snapshot-isolated reads (docs/MVCC.md) ----------------------------------
 
@@ -274,6 +275,11 @@ class LazyDatabase : public QueryFacade {
   /// RemoveSegment minus the epoch bump / capture / paranoid check.
   /// Same `*mutated` contract as InsertSegmentImpl.
   Status RemoveSegmentImpl(uint64_t gp, uint64_t length, bool* mutated);
+
+  /// Freezes the update log; when that takes an LS log from unfrozen to
+  /// frozen, tells the update capture (OnFreeze), so the freeze point is
+  /// journaled whichever query or call caused it.
+  Status FreezeLog();
 
   // -- Path-summary incremental maintenance ------------------------------------
   //

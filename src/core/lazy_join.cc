@@ -9,6 +9,7 @@
 #include "join/stack_tree.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "query/path_summary.h"
 
 namespace lazyxml {
 namespace {
@@ -388,6 +389,58 @@ Result<LazyJoinResult> LazyJoin(const UpdateLog& log,
     }
   }
   return out;
+}
+
+Result<LazyJoinResult> LazyJoinByName(const UpdateLog& log,
+                                      const ElementIndex& index,
+                                      const TagDict& dict,
+                                      const PathSummary* summary,
+                                      std::string_view ancestor_tag,
+                                      std::string_view descendant_tag,
+                                      const LazyJoinOptions& options,
+                                      const ScanVersionSource* versions) {
+  auto a = dict.Lookup(ancestor_tag);
+  auto d = dict.Lookup(descendant_tag);
+  if (!a.ok() || !d.ok()) return LazyJoinResult{};  // unknown tag: empty
+  const TagId atid = a.ValueOrDie();
+  const TagId dtid = d.ValueOrDie();
+
+  // Path-summary pruning. Consult-only: a stale summary arrives as
+  // nullptr and the join simply runs unpruned — never rebuilt here,
+  // because this path executes under ConcurrentLazyDatabase's *shared*
+  // lock (rebuilds happen in Freeze / SetQueryOptions / restore, all
+  // exclusive).
+  JoinPrune prune;
+  if (summary != nullptr) {
+    prune = summary->ComputeJoinPrune(atid, dtid, options.parent_child);
+  }
+  LazyJoinOptions jopts = options;
+  if (prune.usable) {
+    if (prune.provably_empty) {
+      // Answered in O(summary): no tag list is scanned, no element is
+      // fetched. The stats report what the unpruned join would have had
+      // to consider.
+      LazyJoinResult out;
+      for (const TagListEntry& e : log.tag_list().EntriesFor(atid)) {
+        ++out.stats.segments_pruned;
+        out.stats.elements_skipped += e.count;
+      }
+      for (const TagListEntry& e : log.tag_list().EntriesFor(dtid)) {
+        ++out.stats.segments_pruned;
+        out.stats.elements_skipped += e.count;
+      }
+      LAZYXML_METRIC_COUNTER(pruned_joins, "query.joins_pruned_total");
+      LAZYXML_METRIC_COUNTER(pruned_segs, "query.segments_pruned_total");
+      LAZYXML_METRIC_COUNTER(skipped, "query.elements_skipped_total");
+      pruned_joins.Increment();
+      pruned_segs.Add(out.stats.segments_pruned);
+      skipped.Add(out.stats.elements_skipped);
+      return out;
+    }
+    jopts.ancestor_sid_filter = &prune.ancestor_sids;
+    jopts.descendant_sid_filter = &prune.descendant_sids;
+  }
+  return LazyJoin(log, index, atid, dtid, jopts, versions);
 }
 
 }  // namespace lazyxml

@@ -25,6 +25,7 @@
 #define LAZYXML_CORE_LAZY_JOIN_H_
 
 #include <cstdint>
+#include <string_view>
 #include <unordered_set>
 #include <vector>
 
@@ -124,6 +125,23 @@ Result<LazyJoinResult> LazyJoin(const UpdateLog& log,
                                 TagId ancestor_tid, TagId descendant_tid,
                                 const LazyJoinOptions& options = {},
                                 const ScanVersionSource* versions = nullptr);
+
+class PathSummary;  // query/path_summary.h
+
+/// LazyJoin by tag name over one consistent state: the live database and
+/// its snapshot views both answer JoinByName through this. Unknown tags
+/// yield an empty result. A non-null `summary` (fresh for that state)
+/// prunes the join: a provably empty join returns in O(summary) without
+/// scanning a tag list, and any other join scans only the segments the
+/// summary qualifies (docs/PATH_SUMMARY.md).
+Result<LazyJoinResult> LazyJoinByName(const UpdateLog& log,
+                                      const ElementIndex& index,
+                                      const TagDict& dict,
+                                      const PathSummary* summary,
+                                      std::string_view ancestor_tag,
+                                      std::string_view descendant_tag,
+                                      const LazyJoinOptions& options,
+                                      const ScanVersionSource* versions);
 
 }  // namespace lazyxml
 

@@ -30,7 +30,7 @@ Result<std::vector<JoinPair>> QueryFacade::JoinGlobal(
 
 Result<std::vector<GlobalElement>> QueryFacade::MaterializeGlobalElements(
     std::string_view tag) {
-  Freeze();
+  LAZYXML_RETURN_NOT_OK(Freeze());
   const UpdateLog& log = update_log();
   auto tid_r = tag_dict().Lookup(tag);
   if (!tid_r.ok()) return std::vector<GlobalElement>{};

@@ -39,7 +39,9 @@ class QueryFacade {
   /// Performs any deferred pre-query work (LS freeze, summary
   /// build). A no-op on an already-serviceable state — and always a
   /// no-op on a snapshot view, whose state is immutable by construction.
-  virtual void Freeze() = 0;
+  /// Fails only when the live database's update capture rejects the
+  /// freeze point (core/update_capture.h).
+  virtual Status Freeze() = 0;
 
   /// The update log of this state. Must be serviceable after Freeze().
   virtual const UpdateLog& update_log() const = 0;

@@ -190,42 +190,9 @@ Result<LazyJoinResult> SnapshotReader::JoinByName(
         "read view invalidated: the database was mutated out of band "
         "(mutable_* bypass) while this view was open");
   }
-  auto a = snap_->dict->Lookup(ancestor_tag);
-  auto d = snap_->dict->Lookup(descendant_tag);
-  if (!a.ok() || !d.ok()) return LazyJoinResult{};  // unknown tag: empty
-  const TagId atid = a.ValueOrDie();
-  const TagId dtid = d.ValueOrDie();
-
-  // Same summary pruning as the live JoinByName, against the snapshot's
-  // copied summary (fresh at the pinned epoch by construction).
-  JoinPrune prune;
-  if (const PathSummary* ps = path_summary()) {
-    prune = ps->ComputeJoinPrune(atid, dtid, options.parent_child);
-  }
-  LazyJoinOptions jopts = options;
-  if (prune.usable) {
-    if (prune.provably_empty) {
-      LazyJoinResult out;
-      for (const TagListEntry& e : snap_->log->tag_list().EntriesFor(atid)) {
-        ++out.stats.segments_pruned;
-        out.stats.elements_skipped += e.count;
-      }
-      for (const TagListEntry& e : snap_->log->tag_list().EntriesFor(dtid)) {
-        ++out.stats.segments_pruned;
-        out.stats.elements_skipped += e.count;
-      }
-      LAZYXML_METRIC_COUNTER(pruned_joins, "query.joins_pruned_total");
-      LAZYXML_METRIC_COUNTER(pruned_segs, "query.segments_pruned_total");
-      LAZYXML_METRIC_COUNTER(skipped, "query.elements_skipped_total");
-      pruned_joins.Increment();
-      pruned_segs.Add(out.stats.segments_pruned);
-      skipped.Add(out.stats.elements_skipped);
-      return out;
-    }
-    jopts.ancestor_sid_filter = &prune.ancestor_sids;
-    jopts.descendant_sid_filter = &prune.descendant_sids;
-  }
-  return LazyJoin(*snap_->log, *live_index_, atid, dtid, jopts, this);
+  return LazyJoinByName(*snap_->log, *live_index_, *snap_->dict,
+                        path_summary(), ancestor_tag, descendant_tag, options,
+                        this);
 }
 
 }  // namespace lazyxml

@@ -173,7 +173,8 @@ class SnapshotReader final : public QueryFacade, public ScanVersionSource {
 
   // -- QueryFacade -------------------------------------------------------------
 
-  void Freeze() override {}  // a snapshot is immutable by construction
+  /// A snapshot is immutable by construction.
+  Status Freeze() override { return Status::OK(); }
   const UpdateLog& update_log() const override { return *snap_->log; }
   const TagDict& tag_dict() const override { return *snap_->dict; }
   const PathSummary* path_summary() const override {

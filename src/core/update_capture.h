@@ -14,7 +14,16 @@
 //
 // Compound operations decompose into primitives: ApplyPlan captures one
 // OnInsertSegment per step and CompactAll one OnCollapseSubtree per
-// top-level segment, so a replayer only needs the three callbacks below.
+// top-level segment, so a replayer only needs the three callbacks below
+// plus OnFreeze.
+//
+// Freeze points are part of the stream. In LS mode (paper §5.1) the log
+// is frozen just before a query, and the freeze shapes the frozen
+// coordinates of every later insert, so a replay must freeze at the same
+// point. LazyDatabase fires OnFreeze exactly when an LS log goes from
+// unfrozen to frozen, whichever call froze it (Freeze, a join, a query
+// evaluator, OpenReadView); a non-OK return surfaces as that call's
+// error. LD logs never fire it.
 
 #ifndef LAZYXML_CORE_UPDATE_CAPTURE_H_
 #define LAZYXML_CORE_UPDATE_CAPTURE_H_
@@ -41,6 +50,9 @@ class UpdateCapture {
 
   /// Subtree `old_sid` was collapsed into fresh segment `new_sid`.
   virtual Status OnCollapseSubtree(SegmentId old_sid, SegmentId new_sid) = 0;
+
+  /// The LS log was just frozen (it was unfrozen before the call).
+  virtual Status OnFreeze() { return Status::OK(); }
 
   /// ApplyBatch is starting a batch of `size` primitive operations. The
   /// per-op callbacks that follow — up to the matching OnBatchEnd — may

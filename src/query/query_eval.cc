@@ -587,7 +587,8 @@ Result<XPathResult> EvaluateSteps(QueryFacade* db,
       return std::move(ev.result);
     }
   }
-  db->Freeze();  // tag lists are read directly, not only through joins
+  // Tag lists are read directly, not only through joins.
+  LAZYXML_RETURN_NOT_OK(db->Freeze());
   LAZYXML_RETURN_NOT_OK(
       ev.Run(steps, ev.summary != nullptr ? &matched : nullptr, global,
              max_rows));

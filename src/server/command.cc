@@ -328,7 +328,7 @@ ExecuteOutcome RunCommand(ServerEngine* engine, SessionContext* session,
             "ops not applied yet); use INSERT <gp>"));
       }
       uint64_t gp = 0;
-      auto r = engine->Append(cmd.body, &gp);
+      auto r = engine->db().AppendDocument(cmd.body, &gp);
       if (!r.ok()) return Fail(r.status());
       out.response = OkResponse(
           StringPrintf("SID %llu GP %llu LEN %zu",
@@ -344,7 +344,7 @@ ExecuteOutcome RunCommand(ServerEngine* engine, SessionContext* session,
             StringPrintf("QUEUED %zu", q.ValueOrDie() + 1));
         return out;
       }
-      auto r = engine->Insert(cmd.body, cmd.gp);
+      auto r = engine->db().InsertSegment(cmd.body, cmd.gp);
       if (!r.ok()) return Fail(r.status());
       out.response = OkResponse(StringPrintf(
           "SID %llu", static_cast<unsigned long long>(r.ValueOrDie())));
@@ -358,7 +358,7 @@ ExecuteOutcome RunCommand(ServerEngine* engine, SessionContext* session,
             StringPrintf("QUEUED %zu", q.ValueOrDie() + 1));
         return out;
       }
-      Status s = engine->Remove(cmd.gp, cmd.length);
+      Status s = engine->db().RemoveSegment(cmd.gp, cmd.length);
       if (!s.ok()) return Fail(s);
       out.response = OkResponse();
       return out;
@@ -375,7 +375,7 @@ ExecuteOutcome RunCommand(ServerEngine* engine, SessionContext* session,
       }
       const std::vector<UpdateOp> ops = session->TakeBatch();
       BatchStats stats;
-      Status s = engine->ApplyBatch(ops, &stats);
+      Status s = engine->db().ApplyBatch(ops, &stats);
       if (!s.ok()) {
         // Prefix semantics (core/lazy_database.h): report how far it got.
         return Fail(s.WithContext(StringPrintf(
@@ -412,8 +412,8 @@ ExecuteOutcome RunCommand(ServerEngine* engine, SessionContext* session,
                                      ? QuerySyntax::kTwig
                                      : QuerySyntax::kXPath;
       // The evaluator builds only the rows the reply lists.
-      auto r = engine->Xpath(cmd.expr, syntax,
-                             session->limits().max_result_elements);
+      auto r = engine->db().Xpath(cmd.expr, syntax,
+                                  session->limits().max_result_elements);
       if (!r.ok()) return Fail(r.status());
       const XPathResult& xr = r.ValueOrDie();
       const size_t count = xr.count;
@@ -456,13 +456,13 @@ ExecuteOutcome RunCommand(ServerEngine* engine, SessionContext* session,
       return out;
     }
     case CommandKind::kFreeze: {
-      Status s = engine->Freeze();
+      Status s = engine->db().Freeze();
       if (!s.ok()) return Fail(s);
       out.response = OkResponse();
       return out;
     }
     case CommandKind::kCompact: {
-      Status s = engine->Compact();
+      Status s = engine->db().CompactAll();
       if (!s.ok()) return Fail(s);
       out.response = OkResponse();
       return out;
@@ -479,7 +479,7 @@ ExecuteOutcome RunCommand(ServerEngine* engine, SessionContext* session,
       return out;
     }
     case CommandKind::kMetrics: {
-      const obs::MetricsSnapshot snap = engine->Metrics();
+      const obs::MetricsSnapshot snap = engine->db().Metrics();
       out.response = OkResponse(
           cmd.metrics_json ? "JSON" : "TEXT",
           cmd.metrics_json ? snap.ExportJson() : snap.ExportText());

@@ -1,37 +1,30 @@
-// ServerEngine: the one database handle the server's command executor
-// talks to, uniform over the two deployment shapes:
+// ServerEngine: the database the server's command executor talks to.
+// It owns one ConcurrentLazyDatabase (core/concurrent_database.h) over
+// the LazyDatabase of the chosen deployment shape:
 //
-//   in-memory   wraps ConcurrentLazyDatabase directly — its
-//               writer-priority TicketSharedMutex discipline is exactly
-//               what concurrent sessions need;
-//   durable     wraps DurableLazyDatabase (which is deliberately not
-//               thread-safe; storage/durable_database.h) and applies the
-//               *same* locking discipline here: updates and maintenance
-//               exclusive; queries shared unless
-//               LazyDatabase::QueryNeedsExclusive() reports pending work
-//               (an LS freeze to journal, a stale path summary), which
-//               they do first under the exclusive lock.
+//   in-memory   the wrapper owns its LazyDatabase;
+//   durable     the engine owns a DurableLazyDatabase and the wrapper
+//               locks its database(), whose update capture journals
+//               every update and every LS freeze point from inside the
+//               locked call (storage/durable_database.h).
 //
-// Command execution (server/command.cc) calls only this class, so the
-// wire/command layers never care which shape is behind them.
+// So both shapes follow one locking discipline: updates and maintenance
+// exclusive, queries shared unless LazyDatabase::QueryNeedsExclusive()
+// reports pending work (an LS freeze, a stale path summary), which the
+// wrapper does first under the exclusive lock. Command execution
+// (server/command.cc) calls the wrapper directly; only Open and Check
+// know which shape is behind it.
 
 #ifndef LAZYXML_SERVER_ENGINE_H_
 #define LAZYXML_SERVER_ENGINE_H_
 
 #include <memory>
-#include <shared_mutex>
-#include <span>
 #include <string>
-#include <string_view>
 
 #include "check/checker.h"
 #include "common/result.h"
-#include "common/ticket_rwlock.h"
 #include "core/concurrent_database.h"
 #include "core/lazy_database.h"
-#include "core/update_batch.h"
-#include "obs/metrics.h"
-#include "query/xpath.h"
 #include "storage/durable_database.h"
 
 namespace lazyxml {
@@ -41,16 +34,17 @@ struct ServerEngineOptions {
   /// In-memory database tuning (mode, tree options, query options).
   LazyDatabaseOptions db;
   /// Non-empty: open a DurableLazyDatabase on this directory instead of
-  /// an in-memory ConcurrentLazyDatabase.
+  /// a purely in-memory database.
   std::string data_dir;
   /// Durable-mode knobs (wal sync policy etc.); `durable.db` is
   /// overwritten by `db` so the two shapes share one tuning block.
   DurableOptions durable;
-  /// In-memory shape only: split each BATCH into chunks of at most this
-  /// many ops with the write lock dropped between chunks, so queries and
-  /// open read views are admitted mid-batch instead of stalling behind a
-  /// bulk load (docs/MVCC.md). 0 = apply each batch whole. Ignored in
-  /// durable mode, where the WAL batch record is deliberately atomic.
+  /// Split each BATCH into chunks of at most this many ops with the write
+  /// lock dropped between chunks, so queries and open read views are
+  /// admitted mid-batch instead of stalling behind a bulk load
+  /// (docs/MVCC.md). 0 = apply each batch whole. In durable mode each
+  /// chunk is one WAL batch, and WAL batches are prefix-durable
+  /// (docs/WAL_FORMAT.md), so a chunked batch keeps the same contract.
   size_t batch_chunk_ops = 0;
 };
 
@@ -64,49 +58,19 @@ class ServerEngine {
 
   bool durable() const { return dur_ != nullptr; }
 
-  // -- Updates (exclusive) ----------------------------------------------------
-
-  /// LOAD: insert at the current end of the super document, atomically
-  /// with reading that end. `*gp_out` receives the position used.
-  Result<SegmentId> Append(std::string_view text, uint64_t* gp_out);
-
-  Result<SegmentId> Insert(std::string_view text, uint64_t gp);
-  Status Remove(uint64_t gp, uint64_t length);
-  Status ApplyBatch(std::span<const UpdateOp> ops, BatchStats* stats_out);
-  Status Compact();
-  Status Freeze();
-
-  // -- Queries ----------------------------------------------------------------
-
-  /// PATH, TWIG and XPATH: one evaluator, `syntax` picks the admitted
-  /// subset and whether global offsets are computed (XPATH only). At most
-  /// `max_rows` elements are listed; the count is exact.
-  Result<XPathResult> Xpath(std::string_view expr,
-                            QuerySyntax syntax = QuerySyntax::kXPath,
-                            size_t max_rows = kAllRows);
-
-  // -- Introspection ----------------------------------------------------------
+  /// The thread-safe database every command runs against.
+  ConcurrentLazyDatabase& db() { return *db_; }
 
   /// Full consistency scrub (in durable mode including the WAL/snapshot
   /// cross-check). Exclusive: scrubbing a moving store reports phantoms.
   Result<check::CheckReport> Check();
 
-  LazyDatabaseStats Stats();
-  obs::MetricsSnapshot Metrics() const {
-    return obs::MetricsRegistry::Global().Snapshot();
-  }
-
  private:
-  explicit ServerEngine(std::unique_ptr<ConcurrentLazyDatabase> mem)
-      : mem_(std::move(mem)) {}
-  explicit ServerEngine(std::unique_ptr<DurableLazyDatabase> dur)
-      : dur_(std::move(dur)) {}
+  ServerEngine() = default;
 
-  // Exactly one of the two is set.
-  std::unique_ptr<ConcurrentLazyDatabase> mem_;
+  // Declared first so it is destroyed last: db_ locks its database().
   std::unique_ptr<DurableLazyDatabase> dur_;
-  /// Durable-mode lock (same discipline as ConcurrentLazyDatabase).
-  TicketSharedMutex dur_mu_;
+  std::unique_ptr<ConcurrentLazyDatabase> db_;
 };
 
 }  // namespace server

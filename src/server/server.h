@@ -1,6 +1,6 @@
 // Server: the network front door. Accepts TCP and/or unix-socket
 // connections, frames requests with the wire protocol (server/wire.h),
-// and dispatches each session's commands onto a work-stealing ThreadPool
+// and dispatches each session's commands onto a FIFO ThreadPool
 // while one event-loop thread owns all socket I/O.
 //
 // Concurrency model (docs/SERVER.md):

@@ -34,7 +34,7 @@ void Usage(const char* argv0) {
                "  --sync <never|every-record|batch>  WAL sync policy\n"
                "  --batch-chunk-ops <n>  split BATCH into n-op chunks so "
                "queries run mid-batch\n"
-               "                         (in-memory only; 0 = atomic batch)\n"
+               "                         (0 = atomic batch)\n"
                "  --threads <n>          own worker pool of n threads\n"
                "                         (0 = shared process pool)\n"
                "  --max-connections <n>  session cap (default 256)\n"

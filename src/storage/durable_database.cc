@@ -61,13 +61,6 @@ DurableLazyDatabase::~DurableLazyDatabase() {
   db_->set_update_capture(nullptr);
 }
 
-Status DurableLazyDatabase::Freeze() {
-  if (db_->update_log().mode() != LogMode::kLazyStatic) return Status::OK();
-  if (db_->update_log().frozen()) return Status::OK();  // marker already holds
-  db_->Freeze();
-  return wal_->Append(LogRecord::Freeze());
-}
-
 Status DurableLazyDatabase::Checkpoint() {
   // LS snapshots require a frozen log; journal the freeze point so a
   // crash right after the rotation still replays deterministically.
@@ -131,6 +124,8 @@ Status DurableLazyDatabase::OnCollapseSubtree(SegmentId old_sid,
                                               SegmentId new_sid) {
   return Emit(LogRecord::CollapseSubtree(old_sid, new_sid));
 }
+
+Status DurableLazyDatabase::OnFreeze() { return Emit(LogRecord::Freeze()); }
 
 Status DurableLazyDatabase::OnBatchBegin(size_t size) {
   batching_ = true;

@@ -11,10 +11,18 @@
 //               everything before the rotation point, then truncate the
 //               obsolete WAL segments and older snapshots.
 //
-// Queries read the in-memory database and never touch the log. The
-// class is not thread-safe (compose with ConcurrentLazyDatabase-style
-// locking externally if needed); durability and concurrency are
-// orthogonal layers here.
+// Every mutator is exactly LazyDatabase's mutator with the capture
+// attached, and LS freeze points reach the WAL through the same hook
+// (UpdateCapture::OnFreeze), so queries run on database() directly: they
+// append a freeze marker only when they freeze an unfrozen LS log, and
+// never touch the log otherwise.
+//
+// The class takes no locks. For concurrent use, wrap database() in a
+// ConcurrentLazyDatabase (core/concurrent_database.h) and make every
+// call through that wrapper, as the server does (server/engine.h): the
+// WAL appends then happen inside its exclusive sections. Checkpoint and
+// the scrubber's Check(DurableLazyDatabase) need that wrapper's
+// exclusive lock (WithExclusive).
 
 #ifndef LAZYXML_STORAGE_DURABLE_DATABASE_H_
 #define LAZYXML_STORAGE_DURABLE_DATABASE_H_
@@ -98,9 +106,9 @@ class DurableLazyDatabase : private UpdateCapture {
   }
   Status CompactAll() { return db_->CompactAll(); }
 
-  /// LS mode: freezes and journals a freeze marker so replay reproduces
-  /// the freeze point; skipped when already frozen. No-op in LD mode.
-  Status Freeze();
+  /// LazyDatabase::Freeze: in LS mode an unfrozen log is frozen and a
+  /// freeze marker journaled, so replay reproduces the freeze point.
+  Status Freeze() { return db_->Freeze(); }
 
   // -- Durability control ------------------------------------------------------
 
@@ -113,39 +121,15 @@ class DurableLazyDatabase : private UpdateCapture {
   /// pre-checkpoint records.
   Status Checkpoint();
 
-  // -- Queries (forwarded) -----------------------------------------------------
-  //
-  // In LS mode a query on an unfrozen log freezes it, and freeze points
-  // shape the frozen coordinates replay must reproduce — so the facade
-  // journals the marker (via Freeze()) before forwarding. On an already
-  // frozen log the queries append nothing.
-
-  Result<LazyJoinResult> JoinByName(std::string_view anc, std::string_view desc,
-                                    const LazyJoinOptions& options = {}) {
-    LAZYXML_RETURN_NOT_OK(Freeze());
-    return db_->JoinByName(anc, desc, options);
-  }
-  Result<std::vector<JoinPair>> JoinGlobal(std::string_view anc,
-                                           std::string_view desc,
-                                           const LazyJoinOptions& options = {}) {
-    LAZYXML_RETURN_NOT_OK(Freeze());
-    return db_->JoinGlobal(anc, desc, options);
-  }
-  Result<std::vector<GlobalElement>> MaterializeGlobalElements(
-      std::string_view tag) {
-    LAZYXML_RETURN_NOT_OK(Freeze());
-    return db_->MaterializeGlobalElements(tag);
-  }
-
   /// Reconfigures query execution (core/lazy_database.h); purely
   /// in-memory, nothing is journaled.
   void SetQueryOptions(const QueryOptions& query) {
     db_->SetQueryOptions(query);
   }
 
-  /// The wrapped in-memory database (queries, stats, invariants). Going
-  /// around the facade for *updates* forfeits durability only if the
-  /// capture hook is detached; it is attached for the facade's lifetime.
+  /// The wrapped in-memory database (queries, stats, invariants). Its
+  /// update capture is attached for the facade's lifetime, so updates
+  /// and LS freezes made through it are journaled too.
   LazyDatabase& database() { return *db_; }
   const LazyDatabase& database() const { return *db_; }
 
@@ -192,6 +176,7 @@ class DurableLazyDatabase : private UpdateCapture {
                          uint64_t gp) override;
   Status OnRemoveRange(uint64_t gp, uint64_t length) override;
   Status OnCollapseSubtree(SegmentId old_sid, SegmentId new_sid) override;
+  Status OnFreeze() override;
   Status OnBatchBegin(size_t size) override;
   Status OnBatchEnd() override;
 

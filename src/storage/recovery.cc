@@ -78,8 +78,7 @@ Status ApplyLogRecord(LazyDatabase* db, const LogRecord& record) {
       return Status::OK();
     }
     case LogRecordType::kFreeze:
-      db->Freeze();
-      return Status::OK();
+      return db->Freeze();  // capture detached: journals nothing
   }
   return Status::Corruption("unknown WAL record type in replay");
 }

@@ -2,6 +2,8 @@
 
 #include <atomic>
 #include <cstddef>
+#include <future>
+#include <mutex>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -77,6 +79,32 @@ TEST(ThreadPoolTest, WaitIdleSeesTasksSubmittedByTasks) {
   // parent finishing and its child being counted.
   pool.WaitIdle();
   EXPECT_EQ(ran.load(), 16);
+}
+
+TEST(ThreadPoolTest, SingleWorkerRunsTasksInSubmissionOrder) {
+  ThreadPool pool(1);
+  // Hold the only worker so every later task is queued before any runs.
+  std::promise<void> started;
+  std::promise<void> release;
+  std::shared_future<void> gate = release.get_future().share();
+  pool.Submit([&started, gate] {
+    started.set_value();
+    gate.wait();
+  });
+  started.get_future().wait();
+  std::mutex mu;
+  std::vector<int> order;
+  for (int i = 0; i < 16; ++i) {
+    pool.Submit([&mu, &order, i] {
+      std::lock_guard<std::mutex> l(mu);
+      order.push_back(i);
+    });
+  }
+  release.set_value();
+  pool.WaitIdle();
+  std::vector<int> want(16);
+  for (int i = 0; i < 16; ++i) want[i] = i;
+  EXPECT_EQ(order, want);
 }
 
 TEST(ThreadPoolTest, SubmitFromWithinTask) {

@@ -214,7 +214,7 @@ void RunCrashRecoveryProperty(LogMode mode, uint64_t seed) {
       PerformRandomOp(db.get(), &shadow, &rng, 0.3);
       if (::testing::Test::HasFatalFailure()) return;
       if (op % 11 == 10) {
-        EXPECT_EQ(db->JoinGlobal("A", "D").ValueOrDie(),
+        EXPECT_EQ(db->database().JoinGlobal("A", "D").ValueOrDie(),
                   testutil::OracleJoin(shadow, "A", "D"));
       }
       if (op % 17 == 16) {

@@ -344,7 +344,7 @@ TEST_F(ChaosTest, QueuedUpdatesPastBudgetAreExpiredNotExecuted) {
 
   // Expired LOADs never touched the engine: the element count reflects
   // only the successful ones.
-  auto path = engine_->Xpath("r/e", QuerySyntax::kPath);
+  auto path = engine_->db().Xpath("r/e", QuerySyntax::kPath);
   ASSERT_TRUE(path.ok());
   EXPECT_EQ(path.ValueOrDie().refs.size(),
             static_cast<uint64_t>(ok_count) * 30000u);
@@ -390,6 +390,13 @@ TEST_F(ChaosTest, OverloadIsShedWithTypedRetryableErrors) {
     conn.SendRequest("PATH a/b");
     if (HasFatalFailure()) return;
   }
+  // No burst reply can come back before the pinning LOAD has finished,
+  // and on a loaded sanitizer build that LOAD alone can outlast
+  // ReadResponse's default deadline: wait for it with a deadline sized
+  // for it, so the burst reads below only wait for the burst.
+  auto pinned = pin.ReadResponse(/*timeout_ms=*/120000);
+  ASSERT_TRUE(pinned.ok()) << "pinning LOAD: " << pinned.status().ToString();
+  ASSERT_TRUE(pinned.ValueOrDie().has_value()) << "pinning LOAD";
   int ok_count = 0, shed = 0;
   for (int i = 0; i < kBurst; ++i) {
     auto resp = conn.ReadResponse();
@@ -654,7 +661,7 @@ TEST_F(ChaosTest, KillNineMidSwarmRecoversCleanAndDeterministically) {
       auto check = engine.ValueOrDie()->Check();
       ASSERT_TRUE(check.ok());
       EXPECT_EQ(check.ValueOrDie().errors(), 0u) << "round " << round;
-      auto path = engine.ValueOrDie()->Xpath("d/k", QuerySyntax::kPath);
+      auto path = engine.ValueOrDie()->db().Xpath("d/k", QuerySyntax::kPath);
       ASSERT_TRUE(path.ok());
       const uint64_t recovered = path.ValueOrDie().refs.size();
       EXPECT_GE(recovered, acked_docs) << "round " << round;

@@ -10,6 +10,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -18,9 +19,13 @@
 
 #include "common/file_io.h"
 #include "core/snapshot.h"
+#include "obs/metrics.h"
 #include "server/client.h"
 #include "server/engine.h"
 #include "storage/durable_database.h"
+#include "storage/log_record.h"
+#include "storage/wal_layout.h"
+#include "storage/wal_reader.h"
 
 namespace lazyxml {
 namespace server {
@@ -462,68 +467,299 @@ TEST(ServerDurableTest, ConcurrentLoadsRecoverByteIdentical) {
   EXPECT_EQ(recovered_bytes.ValueOrDie(), replay_bytes.ValueOrDie());
 }
 
+/// The bytes of every WAL segment file in `dir`, keyed by file name.
+std::map<std::string, std::string> WalFiles(const std::string& dir) {
+  std::map<std::string, std::string> out;
+  auto names = ListDirectory(dir);
+  EXPECT_TRUE(names.ok());
+  for (const std::string& name : names.ValueOrDie()) {
+    if (!ParseWalSegmentFileName(name).has_value()) continue;
+    auto bytes = ReadFileToString(dir + "/" + name);
+    EXPECT_TRUE(bytes.ok());
+    out[name] = bytes.ValueOrDie();
+  }
+  return out;
+}
+
+/// Freeze markers journaled in the WAL segments of `dir`.
+size_t CountFreezeMarkers(const std::string& dir) {
+  size_t markers = 0;
+  for (const auto& [name, bytes] : WalFiles(dir)) {
+    WalSegmentReader reader(bytes);
+    LogRecord record;
+    Status detail;
+    while (reader.Next(&record, &detail) == WalReadOutcome::kRecord) {
+      if (record.type == LogRecordType::kFreeze) ++markers;
+    }
+  }
+  return markers;
+}
+
 TEST(ServerDurableTest, ScriptedSessionMatchesInProcess) {
   // One client runs a deterministic mixed script against a durable
   // server; the same script applied in-process must leave byte-identical
-  // serialized state after recovery.
-  const std::string server_dir = FreshDir("dur_script_srv");
+  // serialized state after recovery, and the same script run on a
+  // DurableLazyDatabase directly must write byte-identical WAL segments.
+  // In LS mode each query freezes the log, so the freeze markers must
+  // land at the same points of the stream too.
+  for (const LogMode mode : {LogMode::kLazyDynamic, LogMode::kLazyStatic}) {
+    const bool ls = mode == LogMode::kLazyStatic;
+    SCOPED_TRACE(ls ? "LS" : "LD");
+    const std::string server_dir = FreshDir(ls ? "dur_script_srv_ls"
+                                               : "dur_script_srv_ld");
+    const std::string direct_dir = FreshDir(ls ? "dur_script_direct_ls"
+                                               : "dur_script_direct_ld");
 
-  auto run_script = [](auto&& insert, auto&& remove, auto&& batch) {
-    insert("<list><item>one</item></list>", 0);
-    insert("<item>two</item>", 6);
-    remove(6, 16);  // take <item>two</item> back out
-    batch();
-  };
+    auto run_script = [](auto&& insert, auto&& remove, auto&& batch,
+                         auto&& query) {
+      insert("<list><item>one</item></list>", 0);
+      insert("<item>two</item>", 6);
+      query();
+      remove(6, 16);  // take <item>two</item> back out
+      batch();
+      query();
+    };
 
+    {
+      ServerEngineOptions eng_options;
+      eng_options.data_dir = server_dir;
+      eng_options.db.mode = mode;
+      auto e = ServerEngine::Open(eng_options);
+      ASSERT_TRUE(e.ok());
+      ServerOptions options;
+      options.tcp = true;
+      Server srv(e.ValueOrDie().get(), options);
+      ASSERT_TRUE(srv.Start().ok());
+      auto conn = Client::ConnectTcpEndpoint("127.0.0.1", srv.tcp_port());
+      ASSERT_TRUE(conn.ok());
+      Client& c = conn.ValueOrDie();
+      run_script(
+          [&](std::string_view text, uint64_t gp) {
+            ASSERT_TRUE(c.Insert(gp, text).ok());
+          },
+          [&](uint64_t gp, uint64_t len) {
+            ASSERT_TRUE(c.Remove(gp, len).ok());
+          },
+          [&] {
+            ASSERT_TRUE(c.BatchBegin().ok());
+            ASSERT_TRUE(c.BatchAdd(true, 6, 0, "<item>three</item>").ok());
+            ASSERT_TRUE(c.BatchAdd(false, 24, 16, "").ok());
+            ASSERT_TRUE(c.BatchCommit().ok());
+          },
+          [&] { ASSERT_TRUE(c.Path("list/item").ok()); });
+      auto check = c.Check();
+      ASSERT_TRUE(check.ok());
+      EXPECT_EQ(check.ValueOrDie().detail, "ERRORS 0 WARNINGS 0");
+      srv.Stop();
+    }
+
+    // The same ops on a DurableLazyDatabase, without server or lock.
+    {
+      DurableOptions options;
+      options.db.mode = mode;
+      auto opened = DurableLazyDatabase::Open(direct_dir, options);
+      ASSERT_TRUE(opened.ok());
+      DurableLazyDatabase& dur = *opened.ValueOrDie();
+      run_script(
+          [&](std::string_view text, uint64_t gp) {
+            ASSERT_TRUE(dur.InsertSegment(text, gp).ok());
+          },
+          [&](uint64_t gp, uint64_t len) {
+            ASSERT_TRUE(dur.RemoveSegment(gp, len).ok());
+          },
+          [&] {
+            std::vector<UpdateOp> ops;
+            ops.push_back(UpdateOp::Insert("<item>three</item>", 6));
+            ops.push_back(UpdateOp::Remove(24, 16));
+            ASSERT_TRUE(dur.ApplyBatch(ops, nullptr).ok());
+          },
+          [&] { ASSERT_TRUE(dur.database().JoinByName("list", "item").ok()); });
+    }
+    const auto server_wal = WalFiles(server_dir);
+    ASSERT_FALSE(server_wal.empty());
+    EXPECT_EQ(server_wal, WalFiles(direct_dir));
+    EXPECT_EQ(CountFreezeMarkers(server_dir), ls ? 2u : 0u);
+
+    // The same ops, straight into an in-process database.
+    LazyDatabaseOptions db_options;
+    db_options.mode = mode;
+    LazyDatabase direct(db_options);
+    run_script(
+        [&](std::string_view text, uint64_t gp) {
+          ASSERT_TRUE(direct.InsertSegment(text, gp).ok());
+        },
+        [&](uint64_t gp, uint64_t len) {
+          ASSERT_TRUE(direct.RemoveSegment(gp, len).ok());
+        },
+        [&] {
+          std::vector<UpdateOp> ops;
+          ops.push_back(UpdateOp::Insert("<item>three</item>", 6));
+          ops.push_back(UpdateOp::Remove(24, 16));
+          ASSERT_TRUE(direct.ApplyBatch(ops, nullptr).ok());
+        },
+        [&] { ASSERT_TRUE(direct.Freeze().ok()); });
+
+    DurableOptions recover_options;
+    recover_options.db.mode = mode;
+    auto recovered = DurableLazyDatabase::Open(server_dir, recover_options);
+    ASSERT_TRUE(recovered.ok());
+    auto server_bytes = SerializeDatabase(recovered.ValueOrDie()->database());
+    auto direct_bytes = SerializeDatabase(direct);
+    ASSERT_TRUE(server_bytes.ok()) << server_bytes.status().ToString();
+    ASSERT_TRUE(direct_bytes.ok()) << direct_bytes.status().ToString();
+    EXPECT_EQ(server_bytes.ValueOrDie(), direct_bytes.ValueOrDie());
+  }
+}
+
+// An LS freeze is journaled by the update capture, so every route that
+// freezes a durable LS store — a query through database(), OpenView, a
+// server command — writes exactly one marker per unfrozen -> frozen
+// transition and none while the log stays frozen.
+TEST(ServerDurableTest, LsFreezeMarkersJournalOncePerTransition) {
+  const std::string dir = FreshDir("dur_ls_markers");
+  DurableOptions options;
+  options.db.mode = LogMode::kLazyStatic;
+  {
+    auto opened = DurableLazyDatabase::Open(dir, options);
+    ASSERT_TRUE(opened.ok());
+    DurableLazyDatabase& dur = *opened.ValueOrDie();
+    ConcurrentLazyDatabase db(&dur.database());
+    auto appended = [&] { return dur.wal().records_appended(); };
+
+    ASSERT_TRUE(db.AppendDocument("<r><a><b/></a></r>").ok());
+    uint64_t before = appended();
+    ASSERT_TRUE(dur.database().JoinGlobal("a", "b").ok());
+    EXPECT_EQ(appended(), before + 1);
+    ASSERT_TRUE(dur.database().JoinGlobal("a", "b").ok());
+    ASSERT_TRUE(dur.database().MaterializeGlobalElements("b").ok());
+    EXPECT_EQ(appended(), before + 1);
+
+    ASSERT_TRUE(db.AppendDocument("<a><b/></a>").ok());
+    before = appended();
+    auto view = db.OpenView();
+    ASSERT_TRUE(view.ok()) << view.status().ToString();
+    EXPECT_EQ(appended(), before + 1);
+    auto pairs = view.ValueOrDie().JoinGlobal("a", "b");
+    ASSERT_TRUE(pairs.ok());
+    EXPECT_EQ(pairs.ValueOrDie().size(), 2u);
+    ASSERT_TRUE(db.OpenView().ok());
+    ASSERT_TRUE(db.Freeze().ok());
+    EXPECT_EQ(appended(), before + 1);
+  }
+  ASSERT_EQ(CountFreezeMarkers(dir), 2u);
+
+  // The same store behind the server: a query and an explicit FREEZE
+  // after each write burst, and repeated ones that find it frozen.
   {
     ServerEngineOptions eng_options;
-    eng_options.data_dir = server_dir;
+    eng_options.data_dir = dir;
+    eng_options.db.mode = LogMode::kLazyStatic;
     auto e = ServerEngine::Open(eng_options);
-    ASSERT_TRUE(e.ok());
-    ServerOptions options;
-    options.tcp = true;
-    Server srv(e.ValueOrDie().get(), options);
+    ASSERT_TRUE(e.ok()) << e.status().ToString();
+    ServerOptions srv_options;
+    srv_options.tcp = true;
+    Server srv(e.ValueOrDie().get(), srv_options);
     ASSERT_TRUE(srv.Start().ok());
     auto conn = Client::ConnectTcpEndpoint("127.0.0.1", srv.tcp_port());
     ASSERT_TRUE(conn.ok());
     Client& c = conn.ValueOrDie();
-    run_script(
-        [&](std::string_view text, uint64_t gp) {
-          ASSERT_TRUE(c.Insert(gp, text).ok());
-        },
-        [&](uint64_t gp, uint64_t len) {
-          ASSERT_TRUE(c.Remove(gp, len).ok());
-        },
-        [&] {
-          ASSERT_TRUE(c.BatchBegin().ok());
-          ASSERT_TRUE(c.BatchAdd(true, 6, 0, "<item>three</item>").ok());
-          ASSERT_TRUE(c.BatchAdd(false, 24, 16, "").ok());
-          ASSERT_TRUE(c.BatchCommit().ok());
-        });
+    ASSERT_TRUE(c.Load("<a><b/><b/></a>").ok());
+    auto count = c.Path("a/b");
+    ASSERT_TRUE(count.ok());
+    EXPECT_EQ(count.ValueOrDie(), 4u);
+    ASSERT_TRUE(c.Twig("a//b").ok());
+    ASSERT_TRUE(c.Freeze().ok());
+    ASSERT_TRUE(c.Load("<a><b/></a>").ok());
+    ASSERT_TRUE(c.Freeze().ok());
+    ASSERT_TRUE(c.Freeze().ok());
+    ASSERT_TRUE(c.Xpath("a/b").ok());
     auto check = c.Check();
     ASSERT_TRUE(check.ok());
     EXPECT_EQ(check.ValueOrDie().detail, "ERRORS 0 WARNINGS 0");
     srv.Stop();
   }
+  EXPECT_EQ(CountFreezeMarkers(dir), 4u);
 
-  // The same ops, straight into an in-process database.
+  // Recovery replays the markers: the log comes back frozen, and the
+  // scrubber's WAL cross-check agrees with the replayed state.
+  auto recovered = DurableLazyDatabase::Open(dir, options);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_TRUE(recovered.ValueOrDie()->database().update_log().frozen());
+  auto report = check::Checker().Check(*recovered.ValueOrDie());
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_TRUE(report.ValueOrDie().ok()) << report.ValueOrDie().ToString();
+}
+
+// A durable store now serves snapshot-isolated views: a view opened on
+// the server's database stays pinned while a writer commits.
+TEST(ServerDurableTest, DurableViewStaysPinnedWhileWriterCommits) {
+  ServerEngineOptions eng_options;
+  eng_options.data_dir = FreshDir("dur_view_pinned");
+  auto e = ServerEngine::Open(eng_options);
+  ASSERT_TRUE(e.ok()) << e.status().ToString();
+  ConcurrentLazyDatabase& db = e.ValueOrDie()->db();
+  ASSERT_TRUE(db.AppendDocument("<r><a><b/></a></r>").ok());
+
+  auto opened = db.OpenView();
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  ReadView view = std::move(opened).ValueOrDie();
+  auto pinned = view.JoinGlobal("a", "b");
+  ASSERT_TRUE(pinned.ok());
+  ASSERT_EQ(pinned.ValueOrDie().size(), 1u);
+
+  constexpr int kWrites = 20;
+  std::thread writer([&] {
+    for (int i = 0; i < kWrites; ++i) {
+      EXPECT_TRUE(db.AppendDocument("<a><b/><b/></a>").ok());
+    }
+  });
+  for (int i = 0; i < 50; ++i) {
+    auto again = view.JoinGlobal("a", "b");
+    ASSERT_TRUE(again.ok());
+    EXPECT_EQ(again.ValueOrDie(), pinned.ValueOrDie());
+  }
+  writer.join();
+  auto still = view.JoinGlobal("a", "b");
+  ASSERT_TRUE(still.ok());
+  EXPECT_EQ(still.ValueOrDie(), pinned.ValueOrDie());
+  auto live = db.JoinGlobal("a", "b");
+  ASSERT_TRUE(live.ok());
+  EXPECT_EQ(live.ValueOrDie().size(), 1u + 2u * kWrites);
+  view = ReadView();  // close before the scrub
+  auto report = e.ValueOrDie()->Check();
+  ASSERT_TRUE(report.ok());
+  EXPECT_TRUE(report.ValueOrDie().ok()) << report.ValueOrDie().ToString();
+}
+
+// --batch-chunk-ops applies to a durable store too: each chunk commits
+// as its own WAL batch (one fsync each under every-record sync), and
+// recovery reproduces the whole batch.
+TEST(ServerDurableTest, ChunkedBatchRecoversAsWhole) {
+  const std::string dir = FreshDir("dur_chunked_batch");
+  std::vector<UpdateOp> ops;
+  for (int i = 0; i < 5; ++i) ops.push_back(UpdateOp::Insert("<a><b/></a>", 0));
+  auto fsyncs = [] {
+    return obs::MetricsRegistry::Global().Snapshot().counters["wal.fsyncs"];
+  };
+  {
+    ServerEngineOptions eng_options;
+    eng_options.data_dir = dir;
+    eng_options.durable.wal.sync_policy = WalSyncPolicy::kEveryRecord;
+    eng_options.batch_chunk_ops = 2;
+    auto e = ServerEngine::Open(eng_options);
+    ASSERT_TRUE(e.ok()) << e.status().ToString();
+    const uint64_t before = fsyncs();
+    BatchStats stats;
+    ASSERT_TRUE(e.ValueOrDie()->db().ApplyBatch(ops, &stats).ok());
+    EXPECT_EQ(stats.applied, ops.size());
+    EXPECT_EQ(fsyncs() - before, 3u);  // chunks of 2, 2 and 1 ops
+  }
   LazyDatabase direct;
-  run_script(
-      [&](std::string_view text, uint64_t gp) {
-        ASSERT_TRUE(direct.InsertSegment(text, gp).ok());
-      },
-      [&](uint64_t gp, uint64_t len) {
-        ASSERT_TRUE(direct.RemoveSegment(gp, len).ok());
-      },
-      [&] {
-        std::vector<UpdateOp> ops;
-        ops.push_back(UpdateOp::Insert("<item>three</item>", 6));
-        ops.push_back(UpdateOp::Remove(24, 16));
-        ASSERT_TRUE(direct.ApplyBatch(ops, nullptr).ok());
-      });
-
-  auto recovered = DurableLazyDatabase::Open(server_dir);
-  ASSERT_TRUE(recovered.ok());
+  ASSERT_TRUE(direct.ApplyBatch(ops, nullptr).ok());
+  auto recovered = DurableLazyDatabase::Open(dir);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(recovered.ValueOrDie()->recovery_stats().records_replayed,
+            ops.size());
   auto server_bytes = SerializeDatabase(recovered.ValueOrDie()->database());
   auto direct_bytes = SerializeDatabase(direct);
   ASSERT_TRUE(server_bytes.ok());
@@ -532,29 +768,29 @@ TEST(ServerDurableTest, ScriptedSessionMatchesInProcess) {
 }
 
 // A durable query with pending pre-query work takes the lock exclusive
-// and does that work before it evaluates, like ConcurrentLazyDatabase:
-// here a rejected insert leaves the path summary stale, and the next
-// query must still see a summary fresh at the current epoch, which
-// proves the pattern empty without a join.
-TEST(ServerDurableTest, QueryRebuildsStaleSummaryAndCompactIndexFirst) {
+// and does that work before it evaluates: here a rejected insert leaves
+// the path summary stale, and the next query must still see a summary
+// fresh at the current epoch, which proves the pattern empty without a
+// join.
+TEST(ServerDurableTest, QueryRebuildsStaleSummaryFirst) {
   ServerEngineOptions eng_options;
   eng_options.data_dir = FreshDir("dur_stale_query");
   auto e = ServerEngine::Open(eng_options);
   ASSERT_TRUE(e.ok()) << e.status().ToString();
   ServerEngine& engine = *e.ValueOrDie();
   uint64_t gp = 0;
-  ASSERT_TRUE(engine.Append("<r><a><b/></a><a/></r>", &gp).ok());
-  auto first = engine.Xpath("b//a", QuerySyntax::kPath);
+  ASSERT_TRUE(engine.db().AppendDocument("<r><a><b/></a><a/></r>", &gp).ok());
+  auto first = engine.db().Xpath("b//a", QuerySyntax::kPath);
   ASSERT_TRUE(first.ok()) << first.status().ToString();
   EXPECT_TRUE(first.ValueOrDie().summary_empty);
 
   // Out of bounds: rejected after the epoch bump, which stales it.
-  EXPECT_FALSE(engine.Insert("<a/>", 1000).ok());
-  auto after = engine.Xpath("b//a", QuerySyntax::kPath);
+  EXPECT_FALSE(engine.db().InsertSegment("<a/>", 1000).ok());
+  auto after = engine.db().Xpath("b//a", QuerySyntax::kPath);
   ASSERT_TRUE(after.ok()) << after.status().ToString();
   EXPECT_TRUE(after.ValueOrDie().summary_empty);
   EXPECT_EQ(after.ValueOrDie().joins_executed, 0u);
-  auto rows = engine.Xpath("r/a", QuerySyntax::kPath);
+  auto rows = engine.db().Xpath("r/a", QuerySyntax::kPath);
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(rows.ValueOrDie().refs.size(), 2u);
   auto report = engine.Check();
@@ -565,13 +801,13 @@ TEST(ServerDurableTest, QueryRebuildsStaleSummaryAndCompactIndexFirst) {
 // Readers query a durable LD engine while a writer appends: a write
 // that cannot maintain the path summary stales it, and no query may
 // rebuild it under the shared lock (TSan).
-TEST(ServerDurableTest, CompactIndexQueriesUnderWritesStorm) {
+TEST(ServerDurableTest, QueriesUnderWritesStorm) {
   ServerEngineOptions eng_options;
-  eng_options.data_dir = FreshDir("dur_compact_storm");
+  eng_options.data_dir = FreshDir("dur_query_storm");
   auto e = ServerEngine::Open(eng_options);
   ASSERT_TRUE(e.ok()) << e.status().ToString();
   ServerEngine& engine = *e.ValueOrDie();
-  ASSERT_TRUE(engine.Append("<r><a><b/></a></r>", nullptr).ok());
+  ASSERT_TRUE(engine.db().AppendDocument("<r><a><b/></a></r>").ok());
 
   constexpr int kWrites = 40;
   std::atomic<bool> done{false};
@@ -581,7 +817,7 @@ TEST(ServerDurableTest, CompactIndexQueriesUnderWritesStorm) {
     readers.emplace_back([&] {
       uint64_t last = 0;
       while (!done.load()) {
-        auto r = engine.Xpath("a//b", QuerySyntax::kPath);
+        auto r = engine.db().Xpath("a//b", QuerySyntax::kPath);
         // Appends only add pairs, so the count never falls.
         if (!r.ok() || r.ValueOrDie().refs.size() < last) {
           ++failures;
@@ -592,12 +828,12 @@ TEST(ServerDurableTest, CompactIndexQueriesUnderWritesStorm) {
     });
   }
   for (int i = 0; i < kWrites; ++i) {
-    if (!engine.Append("<a><b/></a>", nullptr).ok()) ++failures;
+    if (!engine.db().AppendDocument("<a><b/></a>").ok()) ++failures;
   }
   done.store(true);
   for (auto& t : readers) t.join();
   EXPECT_EQ(failures.load(), 0);
-  auto r = engine.Xpath("a//b", QuerySyntax::kPath);
+  auto r = engine.db().Xpath("a//b", QuerySyntax::kPath);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.ValueOrDie().refs.size(), static_cast<size_t>(kWrites + 1));
 }

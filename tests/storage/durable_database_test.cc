@@ -81,9 +81,9 @@ TEST(DurableDatabaseTest, QueriesDoNotTouchTheLogInLdMode) {
   auto db = DurableLazyDatabase::Open(dir).ValueOrDie();
   RunScript(db.get(), &shadow);
   const uint64_t before = db->wal().records_appended();
-  ASSERT_TRUE(db->JoinGlobal("a", "b").ok());
-  ASSERT_TRUE(db->JoinByName("c", "d").ok());
-  ASSERT_TRUE(db->MaterializeGlobalElements("b").ok());
+  ASSERT_TRUE(db->database().JoinGlobal("a", "b").ok());
+  ASSERT_TRUE(db->database().JoinByName("c", "d").ok());
+  ASSERT_TRUE(db->database().MaterializeGlobalElements("b").ok());
   EXPECT_EQ(db->wal().records_appended(), before);
 }
 
@@ -194,13 +194,13 @@ TEST(DurableDatabaseTest, LazyStaticFreezePointsReplayDeterministically) {
   {
     auto db = DurableLazyDatabase::Open(dir, options).ValueOrDie();
     RunScript(db.get(), &shadow);
-    // Query on the unfrozen LS log: the facade freezes AND journals the
-    // freeze point.
+    // Query on the unfrozen LS log: the database freezes and its capture
+    // journals the freeze point.
     const uint64_t before = db->wal().records_appended();
-    mid_query = db->JoinGlobal("a", "b").ValueOrDie();
+    mid_query = db->database().JoinGlobal("a", "b").ValueOrDie();
     EXPECT_EQ(db->wal().records_appended(), before + 1);
     // A second query appends nothing: still frozen.
-    ASSERT_TRUE(db->JoinGlobal("c", "d").ok());
+    ASSERT_TRUE(db->database().JoinGlobal("c", "d").ok());
     EXPECT_EQ(db->wal().records_appended(), before + 1);
     // Updates after the freeze, then one explicit freeze.
     ASSERT_TRUE(db->InsertSegment("<b/>", 3).ok());
@@ -211,7 +211,7 @@ TEST(DurableDatabaseTest, LazyStaticFreezePointsReplayDeterministically) {
   EXPECT_EQ(db->database().update_log().mode(), LogMode::kLazyStatic);
   // The replayed log is frozen exactly as the original was.
   EXPECT_TRUE(db->database().update_log().frozen());
-  EXPECT_EQ(db->JoinGlobal("a", "b").ValueOrDie(),
+  EXPECT_EQ(db->database().JoinGlobal("a", "b").ValueOrDie(),
             testutil::OracleJoin(shadow, "a", "b"));
   ExpectMatchesShadow(&db->database(), shadow);
   (void)mid_query;
@@ -264,7 +264,7 @@ TEST(DurableDatabaseTest, CrashAtEveryWalPrefixLeavesAUsableDatabase) {
     // Whatever survived, the database keeps working: a fresh insert at
     // position 0 is always legal.
     ASSERT_TRUE(d.InsertSegment("<x><y/></x>", 0).ok()) << "cut " << cut;
-    ASSERT_TRUE(d.JoinGlobal("x", "y").ok()) << "cut " << cut;
+    ASSERT_TRUE(d.database().JoinGlobal("x", "y").ok()) << "cut " << cut;
   }
 }
 
