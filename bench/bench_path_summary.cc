@@ -68,7 +68,7 @@ std::unique_ptr<LazyDatabase> BuildWith(std::span<const SegmentInsertion> plan,
   LazyDatabaseOptions opts;
   opts.query.use_path_summary = use_summary;
   auto db = std::make_unique<LazyDatabase>(opts);
-  LAZYXML_CHECK(db->ApplyPlan(plan).ok());
+  LAZYXML_CHECK(ApplyPlan(db.get(), plan).ok());
   db->Freeze();  // builds the summary when enabled; a no-op sort in LD
   LAZYXML_CHECK((db->path_summary() != nullptr) == use_summary);
   return db;

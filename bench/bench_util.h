@@ -35,7 +35,7 @@ inline std::unique_ptr<LazyDatabase> BuildDatabase(
   LazyDatabaseOptions opts;
   opts.mode = mode;
   auto db = std::make_unique<LazyDatabase>(opts);
-  Status s = db->ApplyPlan(plan);
+  Status s = ApplyPlan(db.get(), plan);
   LAZYXML_CHECK(s.ok());
   return db;
 }

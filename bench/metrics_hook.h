@@ -4,7 +4,7 @@
 // variable per binary and embeds each dump into BENCH_PR.json under
 // "metrics", so every recorded benchmark run carries the registry view
 // of what it actually did (WAL fsync latency histogram, batch counters,
-// scan-cache traffic, ...) next to its timings.
+// join and path-summary counters, ...) next to its timings.
 //
 // Included from bench_util.h so every figure binary gets the hook; the
 // micro-bench binaries that skip bench_util.h include it directly.

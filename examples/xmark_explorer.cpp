@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
 
   LazyDatabase db;
   sw.Start();
-  auto loaded = db.ApplyPlan(plan_r.ValueOrDie().insertions);
+  auto loaded = ApplyPlan(&db, plan_r.ValueOrDie().insertions);
   if (!loaded.ok()) {
     std::fprintf(stderr, "load failed: %s\n", loaded.ToString().c_str());
     return 1;

@@ -134,7 +134,8 @@ int main(int argc, char** argv) {
                         pad("BATCH BEGIN") + pad("INSERT 6\n<open_auction/>") +
                         pad("REMOVE 6 14") + pad("BATCH COMMIT") +
                         pad("BATCH ABORT") + pad("FREEZE") + pad("COMPACT") +
-                        pad("CHECK") + pad("METRICS JSON") + pad("QUIT"));
+                        pad("CHECK") + pad("CHECKPOINT") +
+                        pad("METRICS JSON") + pad("QUIT"));
   }
 
   // XPath seeds: valid expressions over the fuzz_xpath document's tags

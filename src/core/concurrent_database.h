@@ -47,8 +47,8 @@
 #include "common/strings.h"
 #include "common/ticket_rwlock.h"
 #include "core/lazy_database.h"
+#include "core/query_facade.h"
 #include "core/read_view.h"
-#include "query/xpath.h"
 
 namespace lazyxml {
 
@@ -63,24 +63,6 @@ class ConcurrentLazyDatabase {
   explicit ConcurrentLazyDatabase(LazyDatabase* db) : db_(*db) {}
   ConcurrentLazyDatabase(const ConcurrentLazyDatabase&) = delete;
   ConcurrentLazyDatabase& operator=(const ConcurrentLazyDatabase&) = delete;
-
- private:
-  /// Shared-lock fast path when no deferred pre-query work is pending;
-  /// exclusive fallback performs it (Freeze, which journals an LS freeze
-  /// point through the update capture) and runs the query while still
-  /// holding the lock. A failed Freeze is the query's error.
-  template <typename Fn>
-  auto ReadQuery(Fn&& fn) -> decltype(fn(std::declval<LazyDatabase&>())) {
-    {
-      std::shared_lock lock(mu_);
-      if (!db_.QueryNeedsExclusive()) return fn(db_);
-    }
-    std::unique_lock lock(mu_);
-    LAZYXML_RETURN_NOT_OK(db_.Freeze());
-    return fn(db_);
-  }
-
- public:
 
   // -- Updates (exclusive) ----------------------------------------------------
 
@@ -186,31 +168,38 @@ class ConcurrentLazyDatabase {
 
   // -- Queries (shared once serviceable; exclusive only to freeze) -----------
 
+  /// Runs `fn(QueryFacade&)` against the live state and returns its
+  /// Result or Status. Shared-lock fast path when no deferred pre-query work is
+  /// pending; exclusive fallback performs it (Freeze, which journals an
+  /// LS freeze point through the update capture) and runs the query
+  /// while still holding the lock. A failed Freeze is the query's error.
+  /// `fn` may only read: the query evaluator (EvaluateQuery,
+  /// query/xpath.h) only CONSULTS the epoch-gated path summary (it never
+  /// rebuilds one), so it may run on the shared path.
+  template <typename Fn>
+  auto Query(Fn&& fn) -> decltype(fn(std::declval<QueryFacade&>())) {
+    QueryFacade& facade = db_;
+    {
+      std::shared_lock lock(mu_);
+      if (!db_.QueryNeedsExclusive()) return fn(facade);
+    }
+    std::unique_lock lock(mu_);
+    LAZYXML_RETURN_NOT_OK(db_.Freeze());
+    return fn(facade);
+  }
+
   Result<LazyJoinResult> JoinByName(std::string_view anc,
                                     std::string_view desc,
                                     const LazyJoinOptions& options = {}) {
-    return ReadQuery(
-        [&](LazyDatabase& db) { return db.JoinByName(anc, desc, options); });
+    return Query(
+        [&](QueryFacade& f) { return f.JoinByName(anc, desc, options); });
   }
 
   Result<std::vector<JoinPair>> JoinGlobal(std::string_view anc,
                                            std::string_view desc,
                                            const LazyJoinOptions& options = {}) {
-    return ReadQuery(
-        [&](LazyDatabase& db) { return db.JoinGlobal(anc, desc, options); });
-  }
-
-  /// Structural query in any of the three syntaxes (query/xpath.h),
-  /// listing at most `max_rows` elements (EvaluateQuery). The evaluator
-  /// only CONSULTS the epoch-gated path summary (it never rebuilds one),
-  /// so the shared-lock path is race-free; callers must link
-  /// lazyxml_query.
-  Result<XPathResult> Xpath(std::string_view expr,
-                            QuerySyntax syntax = QuerySyntax::kXPath,
-                            size_t max_rows = kAllRows) {
-    return ReadQuery([&](LazyDatabase& db) {
-      return EvaluateQuery(&db, syntax, expr, {}, max_rows);
-    });
+    return Query(
+        [&](QueryFacade& f) { return f.JoinGlobal(anc, desc, options); });
   }
 
   /// Pins the current state and returns a snapshot-isolated ReadView
@@ -242,23 +231,9 @@ class ConcurrentLazyDatabase {
   /// MvccState is internally synchronized.
   MvccStats MvccStatsSnapshot() const { return db_.mvcc().Stats(); }
 
-  /// Snapshot of the process-wide metrics registry (docs/OBSERVABILITY.md).
-  /// Lock-free: the registry snapshots its own sharded atomics, so a
-  /// monitoring thread never contends with queries or writers.
-  obs::MetricsSnapshot Metrics() const {
-    return obs::MetricsRegistry::Global().Snapshot();
-  }
-
   Status CheckInvariants() {
     std::shared_lock lock(mu_);
     return db_.CheckInvariants();
-  }
-
-  /// Reconfigures query execution (exclusive: the path summary may be
-  /// rebuilt).
-  void SetQueryOptions(const QueryOptions& query) {
-    std::unique_lock lock(mu_);
-    db_.SetQueryOptions(query);
   }
 
   /// Runs `fn(LazyDatabase&)` under the exclusive lock and returns its

@@ -6,9 +6,9 @@
 #include "check/database_check.h"
 #include "common/strings.h"
 #include "core/global_converter.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "xml/parser.h"
-#include "xmlgen/join_workload.h"
 
 namespace lazyxml {
 
@@ -485,15 +485,6 @@ Status LazyDatabase::ApplyBatch(std::span<const UpdateOp> ops,
   return Status::OK();
 }
 
-Status LazyDatabase::ApplyPlan(std::span<const SegmentInsertion> plan) {
-  std::vector<UpdateOp> ops;
-  ops.reserve(plan.size());
-  for (const SegmentInsertion& s : plan) {
-    ops.push_back(UpdateOp::Insert(s.text, s.gp));
-  }
-  return ApplyBatch(ops).status();
-}
-
 Result<SegmentId> LazyDatabase::CollapseSubtree(SegmentId sid) {
   // Validation precedes the epoch bump so a rejected collapse does not
   // stale the path summary.
@@ -842,10 +833,6 @@ LazyDatabaseStats LazyDatabase::Stats() const {
   s.tag_list_bytes = log_.TagListMemoryBytes();
   s.element_index_bytes = index_.MemoryBytes();
   return s;
-}
-
-obs::MetricsSnapshot LazyDatabase::Metrics() const {
-  return obs::MetricsRegistry::Global().Snapshot();
 }
 
 Status LazyDatabase::CheckInvariants() const {

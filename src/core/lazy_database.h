@@ -23,24 +23,21 @@
 #include "common/result.h"
 #include "core/element_index.h"
 #include "core/lazy_join.h"
+#include "core/path_summary.h"
 #include "core/query_facade.h"
 #include "core/read_view.h"
 #include "core/update_batch.h"
 #include "core/update_capture.h"
 #include "core/update_log.h"
 #include "join/global_element.h"
-#include "obs/metrics.h"
-#include "query/path_summary.h"
 #include "xml/tag_dict.h"
 
 namespace lazyxml {
 
-struct SegmentInsertion;  // xmlgen/join_workload.h
-
 /// Facade-level query execution knobs (plumbed through LazyDatabase /
 /// DurableLazyDatabase into every join).
 struct QueryOptions {
-  /// Consult the path summary (query/path_summary.h) before each join:
+  /// Consult the path summary (core/path_summary.h) before each join:
   /// provably-empty joins return without touching a tag list, other
   /// joins scan only summary-qualified segments. Output is byte-identical
   /// either way (A/B measurement flag; see docs/PATH_SUMMARY.md).
@@ -108,10 +105,6 @@ class LazyDatabase : public QueryFacade {
   /// index-insert counts, and its sids slot stays 0 (its sid is still
   /// burned inside the database so later sids match sequential apply).
   Status ApplyBatch(std::span<const UpdateOp> ops, BatchStats* stats_out);
-
-  /// Applies a whole insertion plan (generator / chopper output) through
-  /// the batched path — one pure-insert ApplyBatch.
-  Status ApplyPlan(std::span<const SegmentInsertion> plan);
 
   // -- Maintenance (paper §1 "maintenance hours", §5.3 collapse) -------------
 
@@ -249,12 +242,6 @@ class LazyDatabase : public QueryFacade {
 
   LazyDatabaseStats Stats() const;
 
-  /// Snapshot of the process-wide metrics registry (docs/OBSERVABILITY.md).
-  /// The registry is process-global: counters cover every database in the
-  /// process, not just this one. Exposed on the facade so callers hold one
-  /// handle for both data and observability.
-  obs::MetricsSnapshot Metrics() const;
-
   /// Deep integrity check: ER-tree structure, both B+-trees, tag-list
   /// counts vs element-index counts. For tests.
   Status CheckInvariants() const;
@@ -320,7 +307,7 @@ class LazyDatabase : public QueryFacade {
   TagDict dict_;
   UpdateCapture* capture_ = nullptr;
   uint64_t mutation_epoch_ = 0;
-  /// The path summary (query/path_summary.h), fresh iff
+  /// The path summary (core/path_summary.h), fresh iff
   /// summary_built_epoch_ == mutation_epoch_ (see path_summary()).
   std::unique_ptr<PathSummary> summary_;
   uint64_t summary_built_epoch_ = 0;

@@ -5,11 +5,11 @@
 #include <unordered_map>
 #include <utility>
 
+#include "core/path_summary.h"
 #include "join/global_element.h"
 #include "join/stack_tree.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "query/path_summary.h"
 
 namespace lazyxml {
 namespace {

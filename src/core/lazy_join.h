@@ -48,7 +48,7 @@ struct LazyJoinOptions {
   /// The Fig. 9 stack optimizations; off = the unoptimized §4.2 variant
   /// (ablation).
   bool optimize_stack = true;
-  /// Path-summary pruning (query/path_summary.h): when non-null, only
+  /// Path-summary pruning (core/path_summary.h): when non-null, only
   /// tag-list entries whose sid is in the set are scanned. The caller
   /// (LazyDatabase::JoinByName) derives the sets from a *fresh* summary,
   /// which proves entries outside them cannot contribute a pair — the
@@ -126,7 +126,7 @@ Result<LazyJoinResult> LazyJoin(const UpdateLog& log,
                                 const LazyJoinOptions& options = {},
                                 const ScanVersionSource* versions = nullptr);
 
-class PathSummary;  // query/path_summary.h
+class PathSummary;  // core/path_summary.h
 
 /// LazyJoin by tag name over one consistent state: the live database and
 /// its snapshot views both answer JoinByName through this. Unknown tags

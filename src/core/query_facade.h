@@ -24,9 +24,9 @@
 
 #include "common/result.h"
 #include "core/lazy_join.h"
+#include "core/path_summary.h"
 #include "core/update_log.h"
 #include "join/global_element.h"
-#include "query/path_summary.h"
 #include "xml/tag_dict.h"
 
 namespace lazyxml {
@@ -53,7 +53,7 @@ class QueryFacade {
   virtual const TagDict& tag_dict() const = 0;
 
   /// The path summary for this state, or nullptr when disabled or stale
-  /// (consult-only; see query/path_summary.h).
+  /// (consult-only; see core/path_summary.h).
   virtual const PathSummary* path_summary() const = 0;
 
   /// One (tag, segment) element scan of this state.

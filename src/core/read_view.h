@@ -46,10 +46,9 @@
 #include "common/result.h"
 #include "common/ticket_rwlock.h"
 #include "core/element_index.h"
+#include "core/path_summary.h"
 #include "core/query_facade.h"
 #include "core/update_log.h"
-#include "query/path_summary.h"
-#include "query/xpath.h"
 #include "xml/tag_dict.h"
 
 namespace lazyxml {
@@ -239,18 +238,9 @@ class ReadView {
     return reader_->MaterializeGlobalElements(tag);
   }
 
-  /// Structural query in any of the three syntaxes; callers must link
-  /// lazyxml_query (the evaluator lives there — same pattern as
-  /// ConcurrentLazyDatabase::Xpath).
-  Result<XPathResult> Xpath(std::string_view expr,
-                            QuerySyntax syntax = QuerySyntax::kXPath) {
-    std::shared_lock lock(*mu_);
-    return EvaluateQuery(reader_.get(), syntax, expr);
-  }
-
   /// Runs `fn(QueryFacade&)` against the snapshot under one shared
   /// acquisition (for composite reads that must not interleave with a
-  /// writer's chunks).
+  /// writer's chunks, and for EvaluateQuery, query/xpath.h).
   template <typename Fn>
   auto Query(Fn&& fn) {
     std::shared_lock lock(*mu_);

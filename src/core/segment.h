@@ -135,7 +135,7 @@ struct SegmentNode {
 
   /// Tags of the own elements whose frozen intervals strictly contain
   /// `f`, outermost first — the within-segment suffix of the root-to-tag
-  /// path of a splice point at `f` (query/path_summary.h).
+  /// path of a splice point at `f` (core/path_summary.h).
   std::vector<TagId> AncestorTagsAt(uint64_t f) const;
 
   /// Approximate heap footprint of this node (for Fig. 11; excludes the

@@ -3,7 +3,7 @@
 // observable effect of calling InsertSegment/RemoveSegment one by one
 // in order (same sids, same frozen coordinates, same serialized
 // snapshot bytes, same error on the first failing op) while amortizing
-// per-op costs: one scan-cache epoch bump, one element-index flush per
+// per-op costs: one mutation-epoch bump, one element-index flush per
 // insert run, one WAL write + sync per batch, one writer lock per batch
 // (docs/DESIGN.md "Batched ingestion", docs/INVARIANTS.md I-BATCH).
 

@@ -5,8 +5,8 @@
 #include <utility>
 
 #include "core/global_converter.h"
+#include "core/path_summary.h"
 #include "obs/metrics.h"
-#include "query/path_summary.h"
 
 namespace lazyxml {
 

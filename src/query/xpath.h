@@ -26,7 +26,7 @@
 // rows alone, by a batched converter (core/global_converter.h).
 //
 // Before any join runs, the whole pattern (predicates included) is matched
-// against the path summary (query/path_summary.h) when one is fresh:
+// against the path summary (core/path_summary.h) when one is fresh:
 //  * a pattern reaching no summary node is answered empty with ZERO tag
 //    list scans (XPathResult::summary_empty);
 //  * wildcard steps expand to the tags the summary proved can occur at

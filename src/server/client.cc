@@ -361,6 +361,8 @@ Status Client::Freeze() { return CallChecked("FREEZE").status(); }
 
 Status Client::Compact() { return CallChecked("COMPACT").status(); }
 
+Status Client::Checkpoint() { return CallChecked("CHECKPOINT").status(); }
+
 Result<ParsedResponse> Client::Check() {
   return CallWithRetry("CHECK", /*idempotent=*/true);
 }

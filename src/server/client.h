@@ -129,6 +129,7 @@ class Client {
                              nullptr);
   Status Freeze();
   Status Compact();
+  Status Checkpoint();
   /// Returns the full CHECK response ("ERRORS n WARNINGS m" + report).
   Result<ParsedResponse> Check();
   /// METRICS TEXT or METRICS JSON; returns the dump body.

@@ -8,6 +8,7 @@
 
 #include "common/strings.h"
 #include "obs/metrics.h"
+#include "query/xpath.h"
 #include "server/engine.h"
 #include "server/session.h"
 
@@ -90,6 +91,7 @@ std::string_view CommandKindName(CommandKind kind) {
     case CommandKind::kFreeze: return "freeze";
     case CommandKind::kCompact: return "compact";
     case CommandKind::kCheck: return "check";
+    case CommandKind::kCheckpoint: return "checkpoint";
     case CommandKind::kMetrics: return "metrics";
     case CommandKind::kQuit: return "quit";
   }
@@ -113,6 +115,7 @@ DeadlineClass DeadlineClassOf(CommandKind kind) {
     case CommandKind::kFreeze:
     case CommandKind::kCompact:
     case CommandKind::kCheck:
+    case CommandKind::kCheckpoint:
     case CommandKind::kQuit:
       return DeadlineClass::kAdmin;
   }
@@ -197,13 +200,14 @@ Result<Command> ParseCommand(std::string_view payload,
     return cmd;
   }
   if (verb == "FREEZE" || verb == "COMPACT" || verb == "CHECK" ||
-      verb == "QUIT") {
+      verb == "CHECKPOINT" || verb == "QUIT") {
     if (tokens.size() != 1) {
       return WrongArity(verb, std::string(verb).c_str());
     }
     if (verb == "FREEZE") cmd.kind = CommandKind::kFreeze;
     else if (verb == "COMPACT") cmd.kind = CommandKind::kCompact;
     else if (verb == "CHECK") cmd.kind = CommandKind::kCheck;
+    else if (verb == "CHECKPOINT") cmd.kind = CommandKind::kCheckpoint;
     else cmd.kind = CommandKind::kQuit;
     return cmd;
   }
@@ -295,8 +299,9 @@ struct CmdInstruments {
 };
 
 CmdInstruments& InstrumentsFor(CommandKind kind) {
-  static std::array<CmdInstruments, 14> all = [] {
-    std::array<CmdInstruments, 14> a{};
+  constexpr size_t kKinds = static_cast<size_t>(CommandKind::kQuit) + 1;
+  static std::array<CmdInstruments, kKinds> all = [] {
+    std::array<CmdInstruments, kKinds> a{};
     auto& reg = obs::MetricsRegistry::Global();
     for (size_t i = 0; i < a.size(); ++i) {
       const std::string base =
@@ -412,8 +417,10 @@ ExecuteOutcome RunCommand(ServerEngine* engine, SessionContext* session,
                                      ? QuerySyntax::kTwig
                                      : QuerySyntax::kXPath;
       // The evaluator builds only the rows the reply lists.
-      auto r = engine->db().Xpath(cmd.expr, syntax,
-                                  session->limits().max_result_elements);
+      const size_t max_rows = session->limits().max_result_elements;
+      auto r = engine->db().Query([&](QueryFacade& f) {
+        return EvaluateQuery(&f, syntax, cmd.expr, {}, max_rows);
+      });
       if (!r.ok()) return Fail(r.status());
       const XPathResult& xr = r.ValueOrDie();
       const size_t count = xr.count;
@@ -478,8 +485,15 @@ ExecuteOutcome RunCommand(ServerEngine* engine, SessionContext* session,
                                                    : report.ToString());
       return out;
     }
+    case CommandKind::kCheckpoint: {
+      Status s = engine->Checkpoint();
+      if (!s.ok()) return Fail(s);
+      out.response = OkResponse();
+      return out;
+    }
     case CommandKind::kMetrics: {
-      const obs::MetricsSnapshot snap = engine->db().Metrics();
+      const obs::MetricsSnapshot snap =
+          obs::MetricsRegistry::Global().Snapshot();
       out.response = OkResponse(
           cmd.metrics_json ? "JSON" : "TEXT",
           cmd.metrics_json ? snap.ExportJson() : snap.ExportText());

@@ -19,6 +19,8 @@
 //   FREEZE                LS mode: freeze the update log now
 //   COMPACT               collapse every top-level segment (CompactAll)
 //   CHECK                 run the consistency scrubber, report findings
+//   CHECKPOINT            durable server: snapshot the state and drop
+//                         the WAL it covers
 //   METRICS [TEXT|JSON]   dump the process-wide metrics registry
 //   QUIT                  say goodbye and close the connection
 
@@ -50,6 +52,7 @@ enum class CommandKind : uint8_t {
   kFreeze,
   kCompact,
   kCheck,
+  kCheckpoint,
   kMetrics,
   kQuit,
 };
@@ -60,7 +63,8 @@ std::string_view CommandKindName(CommandKind kind);
 
 /// Which per-request deadline budget a command draws from
 /// (ServerOptions::Deadlines). Queries are cheap and latency-sensitive;
-/// updates may group-commit; admin verbs (FREEZE/COMPACT/CHECK) can
+/// updates may group-commit; admin verbs (FREEZE/COMPACT/CHECK/
+/// CHECKPOINT) can
 /// legitimately run long.
 enum class DeadlineClass : uint8_t {
   kQuery = 0,

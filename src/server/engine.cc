@@ -31,5 +31,13 @@ Result<check::CheckReport> ServerEngine::Check() {
       });
 }
 
+Status ServerEngine::Checkpoint() {
+  if (dur_ == nullptr) {
+    return Status::NotSupported(
+        "CHECKPOINT needs a durable server (--data-dir)");
+  }
+  return db_->WithExclusive([&](LazyDatabase&) { return dur_->Checkpoint(); });
+}
+
 }  // namespace server
 }  // namespace lazyxml

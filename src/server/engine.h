@@ -12,8 +12,8 @@
 // exclusive, queries shared unless LazyDatabase::QueryNeedsExclusive()
 // reports pending work (an LS freeze, a stale path summary), which the
 // wrapper does first under the exclusive lock. Command execution
-// (server/command.cc) calls the wrapper directly; only Open and Check
-// know which shape is behind it.
+// (server/command.cc) calls the wrapper directly; only Open, Check and
+// Checkpoint know which shape is behind it.
 
 #ifndef LAZYXML_SERVER_ENGINE_H_
 #define LAZYXML_SERVER_ENGINE_H_
@@ -64,6 +64,12 @@ class ServerEngine {
   /// Full consistency scrub (in durable mode including the WAL/snapshot
   /// cross-check). Exclusive: scrubbing a moving store reports phantoms.
   Result<check::CheckReport> Check();
+
+  /// Durable shape: DurableLazyDatabase::Checkpoint under the exclusive
+  /// lock — a snapshot of the current state, and the WAL segments it
+  /// covers removed, so a restart replays nothing written before it.
+  /// NotSupported on an in-memory engine.
+  Status Checkpoint();
 
  private:
   ServerEngine() = default;

@@ -78,7 +78,7 @@ struct ServerOptions {
   struct Deadlines {
     uint32_t query_ms = 30000;   ///< PATH / TWIG / METRICS
     uint32_t update_ms = 60000;  ///< LOAD / INSERT / REMOVE / BATCH *
-    uint32_t admin_ms = 0;       ///< FREEZE / COMPACT / CHECK / QUIT
+    uint32_t admin_ms = 0;       ///< FREEZE/COMPACT/CHECK/CHECKPOINT/QUIT
   };
   Deadlines deadline;
 

@@ -81,9 +81,6 @@ class DurableLazyDatabase : private UpdateCapture {
   Status RemoveSegment(uint64_t gp, uint64_t length) {
     return db_->RemoveSegment(gp, length);
   }
-  Status ApplyPlan(std::span<const SegmentInsertion> plan) {
-    return db_->ApplyPlan(plan);
-  }
 
   /// Batched ingestion: the in-memory apply runs through
   /// LazyDatabase::ApplyBatch, and the captured records are buffered
@@ -121,22 +118,11 @@ class DurableLazyDatabase : private UpdateCapture {
   /// pre-checkpoint records.
   Status Checkpoint();
 
-  /// Reconfigures query execution (core/lazy_database.h); purely
-  /// in-memory, nothing is journaled.
-  void SetQueryOptions(const QueryOptions& query) {
-    db_->SetQueryOptions(query);
-  }
-
   /// The wrapped in-memory database (queries, stats, invariants). Its
   /// update capture is attached for the facade's lifetime, so updates
   /// and LS freezes made through it are journaled too.
   LazyDatabase& database() { return *db_; }
   const LazyDatabase& database() const { return *db_; }
-
-  /// Snapshot of the process-wide metrics registry (docs/OBSERVABILITY.md)
-  /// — includes the WAL/group-commit instruments this layer feeds
-  /// (wal.fsyncs, wal.fsync_us, wal.group_commit.commits_per_fsync).
-  obs::MetricsSnapshot Metrics() const { return db_->Metrics(); }
 
   /// What recovery did when this handle was opened.
   const RecoveryStats& recovery_stats() const { return recovery_stats_; }

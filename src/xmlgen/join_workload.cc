@@ -248,4 +248,13 @@ Result<JoinWorkloadPlan> BuildJoinWorkload(const JoinWorkloadConfig& cfg) {
   return Status::InvalidArgument("unknown ER-tree shape");
 }
 
+Status ApplyPlan(LazyDatabase* db, std::span<const SegmentInsertion> plan) {
+  std::vector<UpdateOp> ops;
+  ops.reserve(plan.size());
+  for (const SegmentInsertion& s : plan) {
+    ops.push_back(UpdateOp::Insert(s.text, s.gp));
+  }
+  return db->ApplyBatch(ops).status();
+}
+
 }  // namespace lazyxml

@@ -20,10 +20,12 @@
 #define LAZYXML_XMLGEN_JOIN_WORKLOAD_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "common/result.h"
+#include "core/lazy_database.h"
 
 namespace lazyxml {
 
@@ -78,6 +80,10 @@ struct JoinWorkloadPlan {
 /// Builds the insertion plan. Tags used: "A", "D", "seg" (segment roots),
 /// "F" (filler container), "W" (non-A hole wrappers).
 Result<JoinWorkloadPlan> BuildJoinWorkload(const JoinWorkloadConfig& config);
+
+/// Applies a whole insertion plan (generator / chopper output) to `db`
+/// through the batched path — one pure-insert ApplyBatch.
+Status ApplyPlan(LazyDatabase* db, std::span<const SegmentInsertion> plan);
 
 }  // namespace lazyxml
 

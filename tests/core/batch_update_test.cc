@@ -416,7 +416,7 @@ TEST(BatchUpdateTest, ApplyPlanRoutesThroughTheBatchPath) {
   plan.push_back({"<m><n/></m>", 3});
   plan.push_back({"<D/>", 14});
   LazyDatabase via_plan;
-  ASSERT_TRUE(via_plan.ApplyPlan(plan).ok());
+  ASSERT_TRUE(ApplyPlan(&via_plan, plan).ok());
   LazyDatabase via_ops;
   for (const SegmentInsertion& s : plan) {
     ASSERT_TRUE(via_ops.InsertSegment(s.text, s.gp).ok());

@@ -26,7 +26,7 @@ void LoadChopped(LazyDatabase* db, const std::string& doc, uint32_t segments,
   cfg.num_segments = segments;
   cfg.shape = shape;
   auto plan = BuildChopPlan(doc, cfg).ValueOrDie();
-  ASSERT_TRUE(db->ApplyPlan(plan.insertions).ok());
+  ASSERT_TRUE(ApplyPlan(db, plan.insertions).ok());
 }
 
 void ExpectAllQueriesMatch(LazyDatabase* db, const std::string& doc) {
@@ -46,7 +46,8 @@ void ExpectAllQueriesMatch(LazyDatabase* db, const std::string& doc) {
   }
 }
 
-// Guard for the scan-cache epoch accounting of the maintenance path.
+// Guard for the mutation-epoch accounting of the maintenance path (the
+// epoch stamps the path summary and pins read views).
 // Audit result (kept as a regression net): CollapseSubtree bumps the
 // mutation epoch exactly once, at entry; CompactAll adds no bump of its
 // own — it delegates to CollapseSubtree per top-level segment — so the

@@ -21,10 +21,12 @@ TEST(ConcurrentDatabaseTest, SingleThreadedParity) {
   EXPECT_EQ(got, testutil::OracleJoin(shadow, "A", "D"));
   EXPECT_TRUE(db.CheckInvariants().ok());
   EXPECT_EQ(db.Stats().num_segments, 2u);
-  EXPECT_FALSE(
-      db.Xpath("seg//A", QuerySyntax::kPath).ValueOrDie().refs.empty());
-  EXPECT_FALSE(
-      db.Xpath("seg[A]//D", QuerySyntax::kTwig).ValueOrDie().refs.empty());
+  EXPECT_FALSE(testutil::Xpath(db, "seg//A", QuerySyntax::kPath)
+                   .ValueOrDie()
+                   .refs.empty());
+  EXPECT_FALSE(testutil::Xpath(db, "seg[A]//D", QuerySyntax::kTwig)
+                   .ValueOrDie()
+                   .refs.empty());
 }
 
 TEST(ConcurrentDatabaseTest, ParallelReaders) {
@@ -234,7 +236,7 @@ TEST(ConcurrentDatabaseTest, LazyStaticPostFreezeReaderStorm) {
       for (int i = 0; i < 50; ++i) {
         auto r = db.JoinByName("A", "D");
         if (!r.ok() || r.ValueOrDie().pairs.size() != 200) ++failures;
-        auto p = db.Xpath("seg//A", QuerySyntax::kPath);
+        auto p = testutil::Xpath(db, "seg//A", QuerySyntax::kPath);
         if (!p.ok() || p.ValueOrDie().refs.size() != 200) ++failures;
         auto v = db.OpenView();
         if (!v.ok() ||

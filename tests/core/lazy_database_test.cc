@@ -167,12 +167,12 @@ TEST(LazyDatabaseTest, ApplyPlanRunsAllInsertions) {
   std::vector<SegmentInsertion> plan;
   plan.push_back({"<seg><W></W></seg>", 0});
   plan.push_back({"<x/>", 8});
-  ASSERT_TRUE(db.ApplyPlan(plan).ok());
+  ASSERT_TRUE(ApplyPlan(&db, plan).ok());
   EXPECT_EQ(db.Stats().num_segments, 2u);
   // A failing step reports its index.
   plan.clear();
   plan.push_back({"<bad>", 0});
-  auto s = db.ApplyPlan(plan);
+  auto s = ApplyPlan(&db, plan);
   EXPECT_TRUE(s.IsParseError());
   EXPECT_NE(s.message().find("step 0"), std::string::npos);
 }

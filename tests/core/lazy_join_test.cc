@@ -343,7 +343,7 @@ TEST(LazyJoinPairOrderTest, AllExecutorsEmitTheDocumentedOrder) {
       LazyDatabaseOptions opts;
       opts.query = c.query;
       LazyDatabase db(opts);
-      ASSERT_TRUE(db.ApplyPlan(plan.ValueOrDie().insertions).ok());
+      ASSERT_TRUE(ApplyPlan(&db, plan.ValueOrDie().insertions).ok());
       // A few LD updates so the geometry is not just the chop plan's.
       ASSERT_TRUE(db.InsertSegment("<A><D/><A><D/></A></A>", 0).ok());
       db.Freeze();

@@ -70,9 +70,10 @@ TEST(MvccTest, ReadViewIsolatedFromLaterWrites) {
   // ...but the view still answers from the pinned state, stably.
   EXPECT_EQ(view.JoinGlobal("A", "D").ValueOrDie(), before);
   EXPECT_EQ(view.JoinGlobal("A", "D").ValueOrDie(), before);
-  EXPECT_EQ(
-      view.Xpath("seg//A//D", QuerySyntax::kPath).ValueOrDie().refs.size(),
-      1u);
+  EXPECT_EQ(testutil::Xpath(view, "seg//A//D", QuerySyntax::kPath)
+                .ValueOrDie()
+                .refs.size(),
+            1u);
 
   const MvccStats mid = db.MvccStatsSnapshot();
   EXPECT_EQ(mid.views_open, 1u);
@@ -157,7 +158,8 @@ TEST(MvccTest, SummaryExactAnswersStayPinnedWhileAWriterCommits) {
   auto view_or = db.OpenView();
   ASSERT_TRUE(view_or.ok());
   ReadView view = std::move(view_or).ValueOrDie();
-  const XPathResult full = view.Xpath("a/b", QuerySyntax::kPath).ValueOrDie();
+  const XPathResult full =
+      testutil::Xpath(view, "a/b", QuerySyntax::kPath).ValueOrDie();
   ASSERT_EQ(full.joins_executed, 0u);
   ASSERT_EQ(full.count, 3u);
   const auto first_two = [&view] {
@@ -169,7 +171,7 @@ TEST(MvccTest, SummaryExactAnswersStayPinnedWhileAWriterCommits) {
   };
   const XPathResult cut = first_two();
   ASSERT_EQ(cut.refs.size(), 2u);
-  const XPathResult global = view.Xpath("a/b").ValueOrDie();
+  const XPathResult global = testutil::Xpath(view, "a/b").ValueOrDie();
 
   constexpr int kWrites = 50;
   std::atomic<bool> done{false};
@@ -186,20 +188,23 @@ TEST(MvccTest, SummaryExactAnswersStayPinnedWhileAWriterCommits) {
   int reads = 0;
   do {
     const XPathResult f =
-        view.Xpath("a/b", QuerySyntax::kPath).ValueOrDie();
+        testutil::Xpath(view, "a/b", QuerySyntax::kPath).ValueOrDie();
     EXPECT_EQ(f.count, full.count);
     EXPECT_EQ(f.refs, full.refs);
     const XPathResult c = first_two();
     EXPECT_EQ(c.count, full.count);
     EXPECT_EQ(c.refs, cut.refs);
-    EXPECT_EQ(view.Xpath("a/b").ValueOrDie().elements, global.elements);
+    EXPECT_EQ(testutil::Xpath(view, "a/b").ValueOrDie().elements,
+              global.elements);
     ++reads;
   } while (!done.load() && !HasFailure());
   writer.join();
   EXPECT_GT(reads, 0);
   // The live database moved on: 3 + 50 inserted - 16 removed.
-  EXPECT_EQ(db.Xpath("a/b", QuerySyntax::kPath).ValueOrDie().count, 37u);
-  EXPECT_EQ(view.Xpath("a/b", QuerySyntax::kPath).ValueOrDie().refs,
+  EXPECT_EQ(
+      testutil::Xpath(db, "a/b", QuerySyntax::kPath).ValueOrDie().count,
+      37u);
+  EXPECT_EQ(testutil::Xpath(view, "a/b", QuerySyntax::kPath).ValueOrDie().refs,
             full.refs);
 }
 

@@ -111,7 +111,7 @@ TEST(SnapshotTest, RoundTripChoppedDocument) {
   chop.num_segments = 25;
   auto plan = BuildChopPlan(doc, chop).ValueOrDie();
   LazyDatabase db;
-  ASSERT_TRUE(db.ApplyPlan(plan.insertions).ok());
+  ASSERT_TRUE(ApplyPlan(&db, plan.insertions).ok());
   auto blob = SerializeDatabase(db).ValueOrDie();
   auto restored = DeserializeDatabase(blob).ValueOrDie();
   for (const char* expr : {"t0//t1", "root//t2/t3", "t1//t1"}) {

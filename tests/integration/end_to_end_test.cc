@@ -39,7 +39,7 @@ TEST_P(WorkloadEndToEnd, LazyJoinMatchesStdAndOracle) {
   LazyDatabaseOptions dbo;
   dbo.mode = p.mode;
   LazyDatabase db(dbo);
-  ASSERT_TRUE(db.ApplyPlan(plan.insertions).ok());
+  ASSERT_TRUE(ApplyPlan(&db, plan.insertions).ok());
   ASSERT_TRUE(db.CheckInvariants().ok());
   EXPECT_EQ(db.Stats().num_segments, p.segments);
 
@@ -107,7 +107,7 @@ TEST_P(ChoppedDocEndToEnd, ChoppedDocumentQueriesMatchOracle) {
   auto plan = BuildChopPlan(doc, chop).ValueOrDie();
 
   LazyDatabase db;
-  ASSERT_TRUE(db.ApplyPlan(plan.insertions).ok());
+  ASSERT_TRUE(ApplyPlan(&db, plan.insertions).ok());
   ASSERT_TRUE(db.CheckInvariants().ok());
   EXPECT_EQ(db.Stats().super_document_length, doc.size());
 
@@ -157,7 +157,7 @@ TEST(EndToEndTest, OptimizationAblationAgreesOnChoppedDoc) {
   chop.num_segments = 12;
   auto plan = BuildChopPlan(doc, chop).ValueOrDie();
   LazyDatabase db;
-  ASSERT_TRUE(db.ApplyPlan(plan.insertions).ok());
+  ASSERT_TRUE(ApplyPlan(&db, plan.insertions).ok());
   LazyJoinOptions on;
   on.optimize_stack = true;
   LazyJoinOptions off;

@@ -54,7 +54,7 @@ TEST_P(XMarkQueriesTest, Fig14QueriesMatchOracleOnChoppedXMark) {
   LazyDatabaseOptions dbo;
   dbo.mode = mode;
   LazyDatabase db(dbo);
-  ASSERT_TRUE(db.ApplyPlan(plan.insertions).ok());
+  ASSERT_TRUE(ApplyPlan(&db, plan.insertions).ok());
   ASSERT_TRUE(db.CheckInvariants().ok());
 
   for (const XMarkQuery& q : kQueries) {

@@ -80,7 +80,7 @@ TEST(PathStackTest, MatchesPipelineOnDocuments) {
   chop.num_segments = 10;
   auto plan = BuildChopPlan(doc, chop).ValueOrDie();
   LazyDatabase db;
-  ASSERT_TRUE(db.ApplyPlan(plan.insertions).ok());
+  ASSERT_TRUE(ApplyPlan(&db, plan.insertions).ok());
   for (const char* expr : {"t0//t1", "t0//t1//t2", "t1/t1", "root//t2/t0",
                            "t0//t0//t0"}) {
     auto steps = ParseQuery(QuerySyntax::kPath, expr).ValueOrDie();
@@ -103,7 +103,7 @@ TEST(PathStackTest, MatchesPipelineOnXMark) {
   chop.num_segments = 12;
   auto plan = BuildChopPlan(doc, chop).ValueOrDie();
   LazyDatabase db;
-  ASSERT_TRUE(db.ApplyPlan(plan.insertions).ok());
+  ASSERT_TRUE(ApplyPlan(&db, plan.insertions).ok());
   for (const char* expr :
        {"site//person//watch", "people/person/profile/interest",
         "person//watches/watch"}) {

@@ -126,7 +126,7 @@ TEST(PathQueryTest, XMarkChoppedPaths) {
   chop.num_segments = 20;
   auto plan = BuildChopPlan(doc, chop).ValueOrDie();
   LazyDatabase db;
-  ASSERT_TRUE(db.ApplyPlan(plan.insertions).ok());
+  ASSERT_TRUE(ApplyPlan(&db, plan.insertions).ok());
   for (const char* expr :
        {"person//interest", "person/profile/interest", "site//person//watch",
         "people/person/watches/watch", "person//profile"}) {
@@ -144,7 +144,7 @@ TEST(PathQueryTest, SyntheticRandomPaths) {
   chop.num_segments = 8;
   auto plan = BuildChopPlan(doc, chop).ValueOrDie();
   LazyDatabase db;
-  ASSERT_TRUE(db.ApplyPlan(plan.insertions).ok());
+  ASSERT_TRUE(ApplyPlan(&db, plan.insertions).ok());
   for (const char* expr : {"t0//t1//t2", "t1/t1", "t2//t0/t1",
                            "root//t0//t0"}) {
     Path(&db, expr);

@@ -472,7 +472,7 @@ void BuildChurnedStore(const GridPoint& g, uint64_t seed, Random* rng,
   opts.query.use_path_summary = g.summary;
   *out = std::make_unique<LazyDatabase>(opts);
   LazyDatabase& db = **out;
-  ASSERT_TRUE(db.ApplyPlan(plan.ValueOrDie().insertions).ok());
+  ASSERT_TRUE(ApplyPlan(&db, plan.ValueOrDie().insertions).ok());
 
   for (int op = 0; op < 12; ++op) {
     TagDict dict;

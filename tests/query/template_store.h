@@ -124,7 +124,7 @@ inline bool BuildTemplateStore(LazyDatabase* db) {
   chop.num_segments = 60;
   chop.shape = ErTreeShape::kBalanced;
   auto plan = BuildChopPlan(text, chop);
-  if (!plan.ok() || !db->ApplyPlan(plan.ValueOrDie().insertions).ok()) {
+  if (!plan.ok() || !ApplyPlan(db, plan.ValueOrDie().insertions).ok()) {
     return false;
   }
   // Remove the 3rd and the 40th person (whole elements, wherever the

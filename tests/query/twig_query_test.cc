@@ -139,7 +139,7 @@ TEST(TwigQueryTest, XMarkChoppedTwigs) {
   chop.num_segments = 15;
   auto plan = BuildChopPlan(doc, chop).ValueOrDie();
   LazyDatabase db;
-  ASSERT_TRUE(db.ApplyPlan(plan.insertions).ok());
+  ASSERT_TRUE(ApplyPlan(&db, plan.insertions).ok());
   for (const char* expr :
        {"person[profile//interest]//watch", "person[watches]/profile/interest",
         "person[profile][watches]//phone",
@@ -158,7 +158,7 @@ TEST(TwigQueryTest, SyntheticRandomTwigs) {
   chop.num_segments = 8;
   auto plan = BuildChopPlan(doc, chop).ValueOrDie();
   LazyDatabase db;
-  ASSERT_TRUE(db.ApplyPlan(plan.insertions).ok());
+  ASSERT_TRUE(ApplyPlan(&db, plan.insertions).ok());
   for (const char* expr : {"t0[t1]//t2", "t0[t1//t2]", "t1[t0][t2]",
                            "root[t0]//t1/t2", "t0[t0]//t0"}) {
     Twig(&db, expr);

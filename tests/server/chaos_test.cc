@@ -37,6 +37,7 @@
 #include "server/engine.h"
 #include "server/server.h"
 #include "server/wire.h"
+#include "tests/testutil.h"
 
 namespace lazyxml {
 namespace server {
@@ -344,7 +345,7 @@ TEST_F(ChaosTest, QueuedUpdatesPastBudgetAreExpiredNotExecuted) {
 
   // Expired LOADs never touched the engine: the element count reflects
   // only the successful ones.
-  auto path = engine_->db().Xpath("r/e", QuerySyntax::kPath);
+  auto path = testutil::Xpath(engine_->db(), "r/e", QuerySyntax::kPath);
   ASSERT_TRUE(path.ok());
   EXPECT_EQ(path.ValueOrDie().refs.size(),
             static_cast<uint64_t>(ok_count) * 30000u);
@@ -661,7 +662,8 @@ TEST_F(ChaosTest, KillNineMidSwarmRecoversCleanAndDeterministically) {
       auto check = engine.ValueOrDie()->Check();
       ASSERT_TRUE(check.ok());
       EXPECT_EQ(check.ValueOrDie().errors(), 0u) << "round " << round;
-      auto path = engine.ValueOrDie()->db().Xpath("d/k", QuerySyntax::kPath);
+      auto path = testutil::Xpath(engine.ValueOrDie()->db(), "d/k",
+                                  QuerySyntax::kPath);
       ASSERT_TRUE(path.ok());
       const uint64_t recovered = path.ValueOrDie().refs.size();
       EXPECT_GE(recovered, acked_docs) << "round " << round;

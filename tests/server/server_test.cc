@@ -26,6 +26,7 @@
 #include "storage/log_record.h"
 #include "storage/wal_layout.h"
 #include "storage/wal_reader.h"
+#include "tests/testutil.h"
 
 namespace lazyxml {
 namespace server {
@@ -767,6 +768,57 @@ TEST(ServerDurableTest, ChunkedBatchRecoversAsWhole) {
   EXPECT_EQ(server_bytes.ValueOrDie(), direct_bytes.ValueOrDie());
 }
 
+// CHECKPOINT on a durable server snapshots the state and drops the WAL
+// the snapshot covers, so a restart replays no record and recovers the
+// same bytes. An in-memory server has nothing to checkpoint and says so.
+TEST(ServerDurableTest, CheckpointVerbLeavesNothingToReplay) {
+  ServerOptions options;
+  options.tcp = true;
+  const std::string dir = FreshDir("dur_checkpoint");
+  std::string served;
+  {
+    ServerEngineOptions eng_options;
+    eng_options.data_dir = dir;
+    auto e = ServerEngine::Open(eng_options);
+    ASSERT_TRUE(e.ok()) << e.status().ToString();
+    Server srv(e.ValueOrDie().get(), options);
+    ASSERT_TRUE(srv.Start().ok());
+    auto conn = Client::ConnectTcpEndpoint("127.0.0.1", srv.tcp_port());
+    ASSERT_TRUE(conn.ok());
+    Client& c = conn.ValueOrDie();
+    ASSERT_TRUE(c.Load("<r><a><b/></a></r>").ok());
+    ASSERT_TRUE(c.Insert(3, "<a><b/><b/></a>").ok());
+    const Status checkpoint = c.Checkpoint();
+    ASSERT_TRUE(checkpoint.ok()) << checkpoint.ToString();
+    srv.Stop();
+    auto bytes = e.ValueOrDie()->db().WithExclusive(
+        [](LazyDatabase& db) { return SerializeDatabase(db); });
+    ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+    served = bytes.ValueOrDie();
+  }
+  auto recovered = DurableLazyDatabase::Open(dir);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  const RecoveryStats& stats = recovered.ValueOrDie()->recovery_stats();
+  EXPECT_NE(stats.snapshot_index, 0u);
+  EXPECT_EQ(stats.records_replayed, 0u);
+  auto report = check::Checker().Check(*recovered.ValueOrDie());
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_TRUE(report.ValueOrDie().ok()) << report.ValueOrDie().ToString();
+  auto bytes = SerializeDatabase(recovered.ValueOrDie()->database());
+  ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+  EXPECT_EQ(bytes.ValueOrDie(), served);
+
+  auto mem = ServerEngine::Open({});
+  ASSERT_TRUE(mem.ok());
+  Server srv(mem.ValueOrDie().get(), options);
+  ASSERT_TRUE(srv.Start().ok());
+  auto conn = Client::ConnectTcpEndpoint("127.0.0.1", srv.tcp_port());
+  ASSERT_TRUE(conn.ok());
+  const Status refused = conn.ValueOrDie().Checkpoint();
+  EXPECT_TRUE(refused.IsNotSupported()) << refused.ToString();
+  srv.Stop();
+}
+
 // A durable query with pending pre-query work takes the lock exclusive
 // and does that work before it evaluates: here a rejected insert leaves
 // the path summary stale, and the next query must still see a summary
@@ -780,17 +832,17 @@ TEST(ServerDurableTest, QueryRebuildsStaleSummaryFirst) {
   ServerEngine& engine = *e.ValueOrDie();
   uint64_t gp = 0;
   ASSERT_TRUE(engine.db().AppendDocument("<r><a><b/></a><a/></r>", &gp).ok());
-  auto first = engine.db().Xpath("b//a", QuerySyntax::kPath);
+  auto first = testutil::Xpath(engine.db(), "b//a", QuerySyntax::kPath);
   ASSERT_TRUE(first.ok()) << first.status().ToString();
   EXPECT_TRUE(first.ValueOrDie().summary_empty);
 
   // Out of bounds: rejected after the epoch bump, which stales it.
   EXPECT_FALSE(engine.db().InsertSegment("<a/>", 1000).ok());
-  auto after = engine.db().Xpath("b//a", QuerySyntax::kPath);
+  auto after = testutil::Xpath(engine.db(), "b//a", QuerySyntax::kPath);
   ASSERT_TRUE(after.ok()) << after.status().ToString();
   EXPECT_TRUE(after.ValueOrDie().summary_empty);
   EXPECT_EQ(after.ValueOrDie().joins_executed, 0u);
-  auto rows = engine.db().Xpath("r/a", QuerySyntax::kPath);
+  auto rows = testutil::Xpath(engine.db(), "r/a", QuerySyntax::kPath);
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(rows.ValueOrDie().refs.size(), 2u);
   auto report = engine.Check();
@@ -817,7 +869,7 @@ TEST(ServerDurableTest, QueriesUnderWritesStorm) {
     readers.emplace_back([&] {
       uint64_t last = 0;
       while (!done.load()) {
-        auto r = engine.db().Xpath("a//b", QuerySyntax::kPath);
+        auto r = testutil::Xpath(engine.db(), "a//b", QuerySyntax::kPath);
         // Appends only add pairs, so the count never falls.
         if (!r.ok() || r.ValueOrDie().refs.size() < last) {
           ++failures;
@@ -833,7 +885,7 @@ TEST(ServerDurableTest, QueriesUnderWritesStorm) {
   done.store(true);
   for (auto& t : readers) t.join();
   EXPECT_EQ(failures.load(), 0);
-  auto r = engine.db().Xpath("a//b", QuerySyntax::kPath);
+  auto r = testutil::Xpath(engine.db(), "a//b", QuerySyntax::kPath);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.ValueOrDie().refs.size(), static_cast<size_t>(kWrites + 1));
 }

@@ -12,6 +12,7 @@
 
 #include "join/global_element.h"
 #include "join/stack_tree.h"
+#include "query/xpath.h"
 #include "xml/parser.h"
 #include "xml/tag_dict.h"
 #include "xmlgen/join_workload.h"
@@ -56,6 +57,15 @@ inline std::vector<GlobalElement> ElementsOf(std::string_view doc,
     }
   }
   return out;
+}
+
+/// A structural query through `handle`'s read entry Query(fn) — a
+/// ConcurrentLazyDatabase or a ReadView.
+template <typename Handle>
+Result<XPathResult> Xpath(Handle& handle, std::string_view expr,
+                          QuerySyntax syntax = QuerySyntax::kXPath) {
+  return handle.Query(
+      [&](QueryFacade& f) { return EvaluateQuery(&f, syntax, expr); });
 }
 
 /// Oracle A//D join over the raw text.
