@@ -149,6 +149,17 @@ int main(int argc, char** argv) {
   ok &= WriteFile(out / "xpath" / "wild.xpath", "*[*]//interest");
   ok &= WriteFile(out / "xpath" / "empty-proof.xpath",
                   "//watch//person");
+  // Churned-store seeds (`script|expr`, see fuzz_xpath.cc): removals of
+  // children (op byte % 4 == 0), complete (1) and incomplete (2) parents
+  // and filled ones (3), then predicates the summary proves or re-proves.
+  ok &= WriteFile(out / "xpath" / "churn-profile.xpath",
+                  "\x04\x02\x03\x10|person[profile]//interest");
+  ok &= WriteFile(out / "xpath" / "churn-refill.xpath",
+                  "\x21\x07\x0c\x01|//people/person[profile/interest]/watch");
+  ok &= WriteFile(out / "xpath" / "churn-chain.xpath",
+                  "\x05\x06\x27|//a[a//a//a//b]/a");
+  ok &= WriteFile(out / "xpath" / "churn-wild.xpath",
+                  "\x2c\x0b|//*[*//b]//*");
 
   if (!ok) {
     std::fprintf(stderr, "seed generation failed\n");

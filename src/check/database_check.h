@@ -390,7 +390,9 @@ inline Result<CheckReport> CheckDatabase(const LazyDatabase& db) {
   // (every node's root path, element count, and per-segment breakdown)
   // must equal one rebuilt from scratch against the live update log and
   // element index — that equality is what makes summary-pruned joins
-  // byte-identical to unpruned ones (docs/PATH_SUMMARY.md).
+  // byte-identical to unpruned ones (docs/PATH_SUMMARY.md) — and every
+  // edge it marks strong must be strong in the rebuild, which is what
+  // makes summary-proven predicates sound.
   if (const PathSummary* summary = db.path_summary()) {
     auto rebuilt = LazyDatabase::BuildPathSummary(db.update_log(), index);
     if (!rebuilt.ok()) {
@@ -423,6 +425,14 @@ inline Result<CheckReport> CheckDatabase(const LazyDatabase& db) {
           report.AddError("path_summary", "order-mismatch",
                           "summary canonical lines are mis-ordered");
         }
+      }
+      // Maintained states are conservative, so they may say less than
+      // the rebuild's exact ones, never more.
+      for (uint32_t n : summary->FalseStrongEdges(*rebuilt.ValueOrDie())) {
+        report.AddError("path_summary", "false-strong-edge",
+                        "summary marks the edge into '" +
+                            summary->PathString(n) +
+                            "' strong, a fresh rebuild does not");
       }
     }
     report.BumpChecksRun();

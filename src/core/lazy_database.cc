@@ -148,7 +148,9 @@ Result<SegmentId> LazyDatabase::InsertSegmentImpl(
     LAZYXML_METRIC_HISTOGRAM(update_hist, "summary.update_us");
     obs::ScopedLatency update_latency(update_hist);
     const uint32_t ctx = SummaryContextOf(*info.parent, info.frozen_point);
-    if (SummaryAddSegment(*info.node, ctx)) summary_track_ = true;
+    if (SummaryAddSegment(*info.node, ctx, /*new_elements=*/true)) {
+      summary_track_ = true;
+    }
     // else: unattributable (stale pre-v4 entries at the splice point) —
     // tracking stays off, the summary goes stale instead of wrong.
   }
@@ -183,11 +185,22 @@ Status LazyDatabase::RemoveSegmentImpl(uint64_t gp, uint64_t length,
   // start >= begin && end <= end implies the other two half-tests.
   const bool summary_was_tracking = summary_track_;
   summary_track_ = false;
-  std::vector<std::pair<uint32_t, SegmentId>> summary_decrements;
+  struct Decrement {
+    uint32_t node;
+    SegmentId sid;
+    bool parent_survives;
+  };
+  std::vector<Decrement> summary_decrements;
+  // Per effects.full segment: its top-level elements' nodes, the only
+  // ones whose parent may survive the removal.
+  std::vector<std::vector<uint32_t>> full_tops;
   bool summary_ok = summary_was_tracking;
   if (summary_was_tracking) {
     LAZYXML_METRIC_HISTOGRAM(update_hist, "summary.update_us");
     obs::ScopedLatency update_latency(update_hist);
+    const auto removed = [](const auto& partial, const NestingEntry& e) {
+      return e.start >= partial.frozen_begin && e.end <= partial.frozen_end;
+    };
     for (const auto& partial : effects.partial) {
       const SegmentNode* seg = log_.NodeOf(partial.sid);
       if (seg == nullptr) {
@@ -200,16 +213,32 @@ Status LazyDatabase::RemoveSegmentImpl(uint64_t gp, uint64_t length,
           if (el.start < partial.frozen_begin || el.end > partial.frozen_end) {
             continue;
           }
-          const uint32_t node = SummaryNodeOfElement(*seg, el.start);
+          uint32_t entry = kNoParentEntry;
+          const uint32_t node = SummaryNodeOfElement(*seg, el.start, &entry);
           if (node == PathSummary::kNoNode) {
             summary_ok = false;
             break;
           }
-          summary_decrements.emplace_back(node, partial.sid);
+          const uint32_t parent = seg->summary[entry].parent;
+          summary_decrements.push_back(Decrement{
+              node, partial.sid,
+              parent == kNoParentEntry ||
+                  !removed(partial, seg->summary[parent])});
         }
         if (!summary_ok) break;
       }
       if (!summary_ok) break;
+    }
+    for (const auto& full : effects.full) {
+      const SegmentNode* seg = log_.NodeOf(full.sid);
+      const uint32_t ctx = summary_->SegmentContext(full.sid);
+      std::vector<uint32_t>& tops = full_tops.emplace_back();
+      if (seg == nullptr || ctx == PathSummary::kNoNode) continue;
+      for (const NestingEntry& e : seg->summary) {
+        if (e.parent != kNoParentEntry || e.tid == kNoEntryTag) continue;
+        const uint32_t n = summary_->Find(ctx, e.tid);
+        if (n != PathSummary::kNoNode) tops.push_back(n);
+      }
     }
   }
 
@@ -259,13 +288,15 @@ Status LazyDatabase::RemoveSegmentImpl(uint64_t gp, uint64_t length,
   if (summary_ok) {
     LAZYXML_METRIC_HISTOGRAM(update_hist, "summary.update_us");
     obs::ScopedLatency update_latency(update_hist);
-    for (const auto& [node, sid] : summary_decrements) {
+    for (const Decrement& d : summary_decrements) {
       // An underflow here is a real divergence (the I-SUMMARY scrubber
       // flags the same state); surface it like ParanoidCheck would.
-      LAZYXML_RETURN_NOT_OK(summary_->RemoveElement(node, sid));
+      LAZYXML_RETURN_NOT_OK(summary_->RemoveElement(d.node, d.sid));
+      summary_->NoteRemovedElement(d.node, d.parent_survives);
     }
-    for (const auto& full : effects.full) {
-      summary_->RemoveSegmentAll(full.sid);
+    for (size_t i = 0; i < effects.full.size(); ++i) {
+      summary_->NoteSegmentRemoved(effects.full[i].sid, full_tops[i]);
+      summary_->RemoveSegmentAll(effects.full[i].sid);
     }
     summary_track_ = true;
   }
@@ -593,7 +624,9 @@ Result<SegmentId> LazyDatabase::CollapseSubtree(SegmentId sid) {
       summary_->RemoveSegmentAll(old_sid);
     }
     const uint32_t ctx = SummaryContextOf(*info.parent, info.frozen_point);
-    if (SummaryAddSegment(*info.node, ctx)) summary_track_ = true;
+    if (SummaryAddSegment(*info.node, ctx, /*new_elements=*/false)) {
+      summary_track_ = true;
+    }
   }
   if (capture_ != nullptr) {
     LAZYXML_RETURN_NOT_OK(capture_->OnCollapseSubtree(sid, info.sid));
@@ -663,14 +696,21 @@ Result<std::unique_ptr<PathSummary>> LazyDatabase::BuildPathSummary(
     return kNoParentEntry;
   };
 
+  // ctx is the node of the element containing the segment's splice
+  // point, (ctx_sid, ctx_entry) that element (kNoParentEntry: the root).
   struct Frame {
     const SegmentNode* seg;
     uint32_t ctx;
+    SegmentId ctx_sid;
+    uint32_t ctx_entry;
   };
-  std::vector<Frame> work{{log.root(), PathSummary::kRootNode}};
+  std::vector<Frame> work{
+      {log.root(), PathSummary::kRootNode, kRootSegmentId, kNoParentEntry}};
   std::vector<uint32_t> node_of;
+  // Every live element's link to its parent element (ComputeStrongEdges).
+  std::vector<EdgeLink> links;
   while (!work.empty()) {
-    const auto [seg, ctx] = work.back();
+    const auto [seg, ctx, ctx_sid, ctx_entry] = work.back();
     work.pop_back();
     summary->SetSegmentContext(seg->sid, ctx);
 
@@ -708,23 +748,30 @@ Result<std::unique_ptr<PathSummary>> LazyDatabase::BuildPathSummary(
               "nesting chain");
         }
         summary->AddElement(node_of[idx], seg->sid);
+        const uint32_t parent = seg->summary[idx].parent;
+        if (parent != kNoParentEntry) {
+          links.push_back(EdgeLink{node_of[idx], seg->sid, parent});
+        } else if (ctx_entry != kNoParentEntry) {
+          links.push_back(EdgeLink{node_of[idx], ctx_sid, ctx_entry});
+        }
       }
     }
 
     for (const SegmentNode* c : seg->children) {
       const uint32_t entry = innermost(*seg, c->lp);
-      uint32_t cctx = ctx;
-      if (entry != kNoParentEntry) {
-        cctx = node_of[entry];
-        if (cctx == PathSummary::kNoNode) {
-          return Status::Internal(
-              "path summary build: splice point inside an unattributable "
-              "nesting chain");
-        }
+      if (entry == kNoParentEntry) {
+        work.push_back(Frame{c, ctx, ctx_sid, ctx_entry});
+        continue;
       }
-      work.push_back(Frame{c, cctx});
+      if (node_of[entry] == PathSummary::kNoNode) {
+        return Status::Internal(
+            "path summary build: splice point inside an unattributable "
+            "nesting chain");
+      }
+      work.push_back(Frame{c, node_of[entry], seg->sid, entry});
     }
   }
+  summary->ComputeStrongEdges(std::move(links));
   return summary;
 }
 
@@ -739,7 +786,8 @@ uint32_t LazyDatabase::SummaryContextOf(const SegmentNode& parent,
   return node;
 }
 
-bool LazyDatabase::SummaryAddSegment(const SegmentNode& seg, uint32_t ctx) {
+bool LazyDatabase::SummaryAddSegment(const SegmentNode& seg, uint32_t ctx,
+                                     bool new_elements) {
   if (ctx == PathSummary::kNoNode) return false;
   summary_->SetSegmentContext(seg.sid, ctx);
   std::vector<uint32_t> node_of(seg.summary.size(), PathSummary::kNoNode);
@@ -751,13 +799,18 @@ bool LazyDatabase::SummaryAddSegment(const SegmentNode& seg, uint32_t ctx) {
     // means the summary cannot be maintained.
     if (base == PathSummary::kNoNode || e.tid == kNoEntryTag) return false;
     node_of[i] = summary_->Extend(base, e.tid);
+  }
+  // Edge upkeep reads the pre-insert counts. A collapse re-attributes
+  // elements that already existed: no edge changes.
+  if (new_elements) summary_->NoteInsertedFragment(seg.summary, node_of, ctx);
+  for (uint32_t i = 0; i < seg.summary.size(); ++i) {
     summary_->AddElement(node_of[i], seg.sid);
   }
   return true;
 }
 
 uint32_t LazyDatabase::SummaryNodeOfElement(const SegmentNode& seg,
-                                            uint64_t start) {
+                                            uint64_t start, uint32_t* entry) {
   const uint32_t ctx = summary_->SegmentContext(seg.sid);
   if (ctx == PathSummary::kNoNode) return PathSummary::kNoNode;
   auto it = std::lower_bound(
@@ -765,6 +818,9 @@ uint32_t LazyDatabase::SummaryNodeOfElement(const SegmentNode& seg,
       [](const NestingEntry& e, uint64_t t) { return e.start < t; });
   if (it == seg.summary.end() || it->start != start) {
     return PathSummary::kNoNode;
+  }
+  if (entry != nullptr) {
+    *entry = static_cast<uint32_t>(it - seg.summary.begin());
   }
   // Tag chain outermost-first: entry start offsets are unique within a
   // segment, so the exact-start entry IS the element's entry, and live

@@ -206,8 +206,9 @@ class LazyDatabase : public QueryFacade {
   Status EnsurePathSummary();
 
   /// Builds a summary from a live traversal of the ER-tree + element
-  /// index (the I-SUMMARY scrubber compares this against the maintained
-  /// one via PathSummary::CanonicalLines).
+  /// index, with exact strong-edge states (PathSummary::
+  /// ComputeStrongEdges). The I-SUMMARY scrubber compares this against
+  /// the maintained one (CanonicalLines, FalseStrongEdges).
   static Result<std::unique_ptr<PathSummary>> BuildPathSummary(
       const UpdateLog& log, const ElementIndex& index);
 
@@ -293,13 +294,17 @@ class LazyDatabase : public QueryFacade {
   uint32_t SummaryContextOf(const SegmentNode& parent, uint64_t lp);
 
   /// Attributes every nesting-summary entry of `seg` under context node
-  /// `ctx` and records the segment context. False when unattributable
-  /// (the caller then leaves the summary stale).
-  bool SummaryAddSegment(const SegmentNode& seg, uint32_t ctx);
+  /// `ctx` and records the segment context; `new_elements` (an insert,
+  /// not a collapse) also runs the strong-edge upkeep. False when
+  /// unattributable (the caller then leaves the summary stale).
+  bool SummaryAddSegment(const SegmentNode& seg, uint32_t ctx,
+                         bool new_elements);
 
   /// Summary node of the live element starting at frozen `start` of
-  /// `seg`, or kNoNode.
-  uint32_t SummaryNodeOfElement(const SegmentNode& seg, uint64_t start);
+  /// `seg`, or kNoNode; `*entry` (may be null) receives its nesting
+  /// entry's index.
+  uint32_t SummaryNodeOfElement(const SegmentNode& seg, uint64_t start,
+                                uint32_t* entry = nullptr);
 
   LazyDatabaseOptions options_;
   UpdateLog log_;

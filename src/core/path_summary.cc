@@ -72,6 +72,117 @@ void PathSummary::RemoveSegmentAll(SegmentId sid) {
   DropSegmentContext(sid);
 }
 
+void PathSummary::NoteInsertedFragment(std::span<const NestingEntry> entries,
+                                       std::span<const uint32_t> node_of,
+                                       uint32_t ctx) {
+  // The edges into the nodes the fragment populates, from the pre-insert
+  // counts. A top-level element lands under the existing element P
+  // containing the splice point (on ctx); any other element's parent is
+  // new too, and so is its whole subtree.
+  for (size_t j = 0; j < entries.size(); ++j) {
+    const uint32_t n = node_of[j];
+    if (entries[j].parent == kNoParentEntry) {
+      if (ctx == kRootNode) continue;
+      if (nodes_[n].count == 0) {
+        // No element on ctx had a child on n; now P has one.
+        SetEdgeState(n, nodes_[ctx].count == 1 ? EdgeState::kStrong
+                                               : EdgeState::kWeak);
+      } else if (edge_state(n) == EdgeState::kWeak) {
+        SetEdgeState(n, EdgeState::kUnknown);  // P may have been the gap
+      }
+      continue;
+    }
+    const uint32_t m = node_of[entries[j].parent];
+    if (nodes_[m].count == 0) {
+      // Every element on m is new: strong unless the check below finds
+      // one without a child on n.
+      SetEdgeState(n, EdgeState::kStrong);
+    } else if (nodes_[n].count == 0) {
+      SetEdgeState(n, EdgeState::kWeak);  // the old elements on m lack n
+    }
+  }
+  // A new element holds its whole subtree: each child node of its node
+  // that it has no child on is weak. In reverse preorder every entry's
+  // children are visited before it, and marks_[c] == base + i then says
+  // entry i has a child on node c (stamps of earlier calls are smaller).
+  if (marks_.size() < nodes_.size()) marks_.resize(nodes_.size(), 0);
+  const uint64_t base = next_mark_;
+  next_mark_ += entries.size();
+  for (size_t i = entries.size(); i-- > 0;) {
+    for (uint32_t c : nodes_[node_of[i]].children) {
+      if (marks_[c] != base + i) SetEdgeState(c, EdgeState::kWeak);
+    }
+    if (entries[i].parent != kNoParentEntry) {
+      marks_[node_of[i]] = base + entries[i].parent;
+    }
+  }
+}
+
+void PathSummary::NoteRemovedElement(uint32_t node, bool parent_survives) {
+  if (parent_survives && edge_state(node) == EdgeState::kStrong) {
+    SetEdgeState(node, EdgeState::kUnknown);
+  }
+  for (uint32_t c : nodes_[node].children) {
+    if (edge_state(c) == EdgeState::kWeak) {
+      SetEdgeState(c, EdgeState::kUnknown);
+    }
+  }
+}
+
+void PathSummary::NoteSegmentRemoved(SegmentId sid,
+                                     std::span<const uint32_t> top_nodes) {
+  for (uint32_t n : top_nodes) NoteRemovedElement(n, true);
+  for (uint32_t n = 0; n < nodes_.size(); ++n) {
+    if (nodes_[n].seg_counts.count(sid) != 0) NoteRemovedElement(n, false);
+  }
+}
+
+void PathSummary::ComputeStrongEdges(std::vector<EdgeLink> links) {
+  std::sort(links.begin(), links.end());
+  links.erase(std::unique(links.begin(), links.end()), links.end());
+  std::vector<uint64_t> parents(nodes_.size(), 0);
+  for (const EdgeLink& l : links) ++parents[l.child_node];
+  for (uint32_t c = 1; c < nodes_.size(); ++c) {
+    const uint32_t m = nodes_[c].parent;
+    SetEdgeState(c, m != kRootNode && parents[c] == nodes_[m].count
+                        ? EdgeState::kStrong
+                        : EdgeState::kWeak);
+  }
+}
+
+std::vector<uint32_t> PathSummary::FalseStrongEdges(
+    const PathSummary& exact) const {
+  std::vector<uint32_t> out;
+  // (node here, the same path's node in `exact` or kNoNode)
+  std::vector<std::pair<uint32_t, uint32_t>> work{{kRootNode, kRootNode}};
+  while (!work.empty()) {
+    const auto [n, e] = work.back();
+    work.pop_back();
+    for (uint32_t c : nodes_[n].children) {
+      const uint32_t ec = e == kNoNode ? kNoNode : exact.Find(e, nodes_[c].tag);
+      if (edge_state(c) == EdgeState::kStrong && nodes_[n].count > 0 &&
+          (ec == kNoNode || exact.edge_state(ec) != EdgeState::kStrong)) {
+        out.push_back(c);
+      }
+      work.emplace_back(c, ec);
+    }
+  }
+  return out;
+}
+
+std::string PathSummary::PathString(uint32_t node) const {
+  std::vector<TagId> tags;
+  for (uint32_t n = node; n != kRootNode && n != kNoNode; n = nodes_[n].parent) {
+    tags.push_back(nodes_[n].tag);
+  }
+  std::string path;
+  for (auto it = tags.rbegin(); it != tags.rend(); ++it) {
+    if (!path.empty()) path += '/';
+    path += StringPrintf("%u", *it);
+  }
+  return path;
+}
+
 uint32_t PathSummary::SegmentContext(SegmentId sid) const {
   auto it = segment_ctx_.find(sid);
   return it == segment_ctx_.end() ? kNoNode : it->second;

@@ -25,10 +25,23 @@
 // them, so the ancestor tag chain recorded at insertion time — the
 // segment's NestingEntry chain plus the segment's splice-point context —
 // stays the truth until the element dies.
+//
+// Strong edges. Each node c also records what is known about the edge
+// parent(c) -> c: `strong` when every live element on parent(c) has a
+// child on c (Arion et al.), `weak` when some does not or the question
+// is not worth asking again, `unknown` otherwise. A state never claims
+// `strong` falsely; `weak` and `unknown` are only ever conservative.
+// Updates keep the states (NoteInsertedFragment, NoteRemovedElement,
+// NoteSegmentRemoved), BuildPathSummary computes them exactly
+// (ComputeStrongEdges), and queries re-prove `unknown` edges with one
+// join and record the outcome (SetEdgeState, which readers call under a
+// shared lock). Edges out of the synthetic root are never `strong`.
 
 #ifndef LAZYXML_CORE_PATH_SUMMARY_H_
 #define LAZYXML_CORE_PATH_SUMMARY_H_
 
+#include <atomic>
+#include <compare>
 #include <cstdint>
 #include <map>
 #include <span>
@@ -60,6 +73,26 @@ struct JoinPrune {
   /// Live descendant-tag elements on qualifying paths — the summary's
   /// selectivity estimate for this edge (twig planners order by it).
   uint64_t qualifying_descendants = 0;
+};
+
+/// What the summary knows about the edge parent(c) -> c of a node c.
+enum class EdgeState : uint8_t {
+  kUnknown = 0,
+  /// Not known to be strong, and not to be re-proved until an update
+  /// makes it `unknown`.
+  kWeak = 1,
+  /// Every live element on parent(c) has a child on c.
+  kStrong = 2,
+};
+
+/// One live parent-child link, the input of ComputeStrongEdges: the
+/// child element's summary node and its parent element's identity.
+struct EdgeLink {
+  uint32_t child_node;
+  SegmentId parent_sid;
+  uint32_t parent_entry;
+
+  auto operator<=>(const EdgeLink&) const = default;
 };
 
 /// The path summary (DataGuide).
@@ -108,6 +141,56 @@ class PathSummary {
   /// Drops every count attributed to `sid` (whole-segment removal).
   void RemoveSegmentAll(SegmentId sid);
 
+  // -- Strong edges ----------------------------------------------------------
+
+  /// State of the edge parent(node) -> node.
+  EdgeState edge_state(uint32_t node) const {
+    return static_cast<EdgeState>(
+        nodes_[node].edge.load(std::memory_order_relaxed));
+  }
+
+  /// Records a proof about the edge parent(node) -> node. Const because
+  /// queries call it under a shared lock: the state is a relaxed atomic,
+  /// and every value a reader stores is true of the state it reads.
+  void SetEdgeState(uint32_t node, EdgeState state) const {
+    nodes_[node].edge.store(static_cast<uint8_t>(state),
+                            std::memory_order_relaxed);
+  }
+
+  /// Edge upkeep for one inserted segment, called after its nodes are
+  /// extended and BEFORE its elements are counted (the rules read the
+  /// pre-insert counts). `entries` is the segment's nesting summary (the
+  /// whole subtree of each new element), `node_of[i]` entry i's node and
+  /// `ctx` the node of the element containing the splice point.
+  void NoteInsertedFragment(std::span<const NestingEntry> entries,
+                            std::span<const uint32_t> node_of, uint32_t ctx);
+
+  /// Edge upkeep for one removed element on `node`: a `strong` node turns
+  /// `unknown` when the element's parent survives, and the node's `weak`
+  /// children turn `unknown` (the element may have been the one without).
+  void NoteRemovedElement(uint32_t node, bool parent_survives);
+
+  /// Edge upkeep for a whole removed segment, called BEFORE
+  /// RemoveSegmentAll: NoteRemovedElement for each node holding its
+  /// elements, `top_nodes` (its top-level elements' nodes) being the only
+  /// ones whose parent may survive.
+  void NoteSegmentRemoved(SegmentId sid, std::span<const uint32_t> top_nodes);
+
+  /// Sets every state exactly from the live parent-child `links` (any
+  /// order, duplicates allowed): a node is `strong` iff its links name
+  /// as many distinct parents as its parent node holds live elements.
+  /// Edges out of the root are `weak`.
+  void ComputeStrongEdges(std::vector<EdgeLink> links);
+
+  /// Nodes this summary marks `strong` while `exact` (same paths, exact
+  /// states, e.g. a fresh rebuild) does not, skipping edges whose parent
+  /// holds no live element (vacuously strong). The I-SUMMARY scrubber
+  /// reports each one.
+  std::vector<uint32_t> FalseStrongEdges(const PathSummary& exact) const;
+
+  /// The node's root path as "tid/tid/..." (the CanonicalLines form).
+  std::string PathString(uint32_t node) const;
+
   // -- Segment splice contexts -----------------------------------------------
 
   /// The summary node of the innermost element containing the segment's
@@ -143,10 +226,24 @@ class PathSummary {
   std::vector<std::string> CanonicalLines() const;
 
  private:
+  /// An EdgeState cell. Copies (snapshot views, vector growth under the
+  /// exclusive lock) read it once.
+  struct EdgeCell : std::atomic<uint8_t> {
+    EdgeCell() : std::atomic<uint8_t>(0) {}
+    EdgeCell(const EdgeCell& o)
+        : std::atomic<uint8_t>(o.load(std::memory_order_relaxed)) {}
+    EdgeCell& operator=(const EdgeCell& o) {
+      store(o.load(std::memory_order_relaxed), std::memory_order_relaxed);
+      return *this;
+    }
+  };
+
   struct Node {
     TagId tag = kInvalidTagId;
     uint32_t parent = kNoNode;
     uint32_t depth = 0;
+    /// State of the edge parent -> this node (EdgeState).
+    mutable EdgeCell edge;
     uint64_t count = 0;
     std::vector<uint32_t> children;
     std::map<SegmentId, uint64_t> seg_counts;
@@ -158,6 +255,10 @@ class PathSummary {
   /// sid -> splice-point context node.
   std::unordered_map<SegmentId, uint32_t> segment_ctx_;
   uint64_t total_count_ = 0;
+  /// NoteInsertedFragment's scratch: per node, the stamp of the last new
+  /// element seen with a child on it.
+  std::vector<uint64_t> marks_;
+  uint64_t next_mark_ = 1;
 };
 
 }  // namespace lazyxml

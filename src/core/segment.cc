@@ -128,6 +128,9 @@ void SegmentNode::AddGap(uint64_t begin, uint64_t end) {
     gaps[i].end = std::max(gaps[i].end, gaps[i + 1].end);
     gaps.erase(gaps.begin() + static_cast<ptrdiff_t>(i) + 1);
   }
+  for (SegmentNode* c : children) {
+    if (c->lp > gaps[i].begin && c->lp < gaps[i].end) c->lp = gaps[i].begin;
+  }
 }
 
 }  // namespace lazyxml

@@ -126,7 +126,12 @@ struct SegmentNode {
   /// Sum of the widths of gaps entirely before frozen offset `f`.
   uint64_t GapWidthBefore(uint64_t f) const;
 
-  /// Records a removed frozen interval, merging with existing gaps.
+  /// Records a removed frozen interval, merging with existing gaps. A
+  /// child spliced strictly inside the merged gap (at the point where two
+  /// removed intervals touched) moves to the gap's begin: the gap has
+  /// zero current width, so its global position is unchanged, and every
+  /// walk over children and gaps assumes no splice point lies inside a
+  /// gap.
   void AddGap(uint64_t begin, uint64_t end);
 
   /// Level of the innermost own element whose frozen interval strictly

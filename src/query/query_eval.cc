@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <deque>
+#include <functional>
+#include <optional>
 #include <utility>
 
 #include "core/global_converter.h"
@@ -55,114 +57,364 @@ namespace {
 // Matches the pattern against the path summary: a summary node "matches
 // step i" when its tag passes the name test, it holds a live element,
 // its path chains from a step i-1 match along the step's axis, every
-// predicate of the step is satisfiable beneath it, and (backward pass)
-// some step i+1 match chains from it. Each condition is NECESSARY for an
-// element chain that reaches the last step (every element lies on its
-// root-to-tag path; axes translate to path-tree edges; existence needs
-// count > 0), so an empty match set proves the answer empty and the
-// matched tags are a complete wildcard expansion (docs/PATH_SUMMARY.md).
+// predicate of the step is satisfiable beneath it, and some step i+1
+// match chains from it. Each condition is NECESSARY for an element chain
+// that reaches the last step (every element lies on its root-to-tag
+// path; axes translate to path-tree edges; existence needs count > 0),
+// so an empty match set proves the answer empty and the matched tags are
+// a complete wildcard expansion (docs/PATH_SUMMARY.md).
 //
 // Without predicates the forward conditions are also SUFFICIENT: an
 // element's ancestors are exactly the elements on its path's prefixes,
 // so an element matches steps[0..i] iff its node is a forward step-i
-// match. When the (backward-pruned, hence smaller) step-i matches of a
-// tag hold every live element of the tag, the step selects every element
-// of that tag, and no join is needed to find them.
+// match. When the step-i matches of a tag hold every live element of the
+// tag, the step selects every element of that tag, and no join is needed
+// to find them. A predicate the summary proves true (below) counts as
+// absent.
+//
+// The tables hold one byte per (pattern step, summary node), each cell
+// set at most once: a step's candidates are its tag's postings, and
+// marking "below" on their ancestors stops at the first ancestor already
+// marked. Matching is O(nodes x pattern steps).
 
-bool StepTagMatches(const PathSummary& ps, uint32_t node,
-                    const XPathStep& step, const TagDict& dict) {
-  if (step.wildcard) return true;
-  const std::string_view name = dict.Name(ps.tag(node));
-  return !name.empty() && name == step.name;
-}
+/// Cell bits of the match table.
+enum : uint8_t {
+  /// The node can hold the step's element, with the rest of its path and
+  /// its predicates satisfiable below.
+  kSat = 1,
+  /// A kSat node of the step lies below the node along the step's axis.
+  kBelow = 2,
+  /// Proofs (every element on the node, along strong edges): known/true.
+  kProvenSatKnown = 4,
+  kProvenSat = 8,
+  kProvenBelowKnown = 16,
+  kProvenBelow = 32,
+};
 
-bool PredsSatisfiable(const PathSummary& ps, const TagDict& dict,
-                      uint32_t node, const XPathStep& step);
+/// Pattern tables above this many cells are not built: the query runs
+/// with its joins alone, as without a summary.
+constexpr size_t kMaxMatchCells = size_t{1} << 22;
 
-/// True when some chain matching steps[idx..] hangs below `node` (first
-/// hop along steps[idx]'s axis).
-bool ChainBelow(const PathSummary& ps, const TagDict& dict, uint32_t node,
-                const std::vector<XPathStep>& steps, size_t idx) {
-  if (idx == steps.size()) return true;
-  const XPathStep& step = steps[idx];
-  std::vector<uint32_t> work(ps.children(node).begin(),
-                             ps.children(node).end());
-  while (!work.empty()) {
-    const uint32_t n = work.back();
-    work.pop_back();
-    if (ps.count(n) > 0 && StepTagMatches(ps, n, step, dict) &&
-        PredsSatisfiable(ps, dict, n, step) &&
-        ChainBelow(ps, dict, n, steps, idx + 1)) {
-      return true;
+/// Proof recursion deeper than this gives up (not proven).
+constexpr int kMaxProofDepth = 512;
+
+/// One step of the pattern (outermost path or predicate, nested ones
+/// included).
+struct PatternStep {
+  const XPathStep* step;
+  /// Name test; kInvalidTagId when the name is not interned (matches
+  /// nothing). Unused for wildcards.
+  TagId tid;
+  /// The next step of its path, or -1.
+  int32_t next = -1;
+  /// The first step of each predicate.
+  std::vector<int32_t> preds;
+};
+
+class SummaryMatch {
+ public:
+  /// Re-proves the `unknown` edge into a node (one join), records and
+  /// returns its state.
+  using Reprove = std::function<EdgeState(uint32_t node)>;
+
+  SummaryMatch(const PathSummary& ps, const TagDict& dict)
+      : ps_(ps), dict_(dict), n_(ps.num_nodes()) {}
+
+  /// Builds the tables and the per-step node sets. False when the tables
+  /// would be too large (no claim is made then).
+  bool Match(const std::vector<XPathStep>& steps) {
+    const int32_t first = AddPath(steps);
+    for (int32_t s = first; s >= 0; s = pattern_[s].next) outer_.push_back(s);
+    if (pattern_.size() * n_ > kMaxMatchCells) return false;
+    cells_.assign(pattern_.size() * n_, 0);
+    Fill(first);
+    MatchOuter();
+    return true;
+  }
+
+  /// Summary nodes matching each step of the outermost path. An empty set
+  /// at any step proves the answer empty. The first step matches
+  /// anywhere (implicit descendant-of-root).
+  const std::vector<std::vector<uint32_t>>& matched() const {
+    return matched_;
+  }
+
+  /// Per outermost step, its predicates the summary proves true for every
+  /// element the step's set can hold before they are applied.
+  std::vector<std::vector<bool>> ProvePredicates(const Reprove& reprove) {
+    reprove_ = &reprove;
+    std::vector<std::vector<bool>> proven(outer_.size());
+    for (size_t i = 0; i < outer_.size(); ++i) {
+      const PatternStep& p = pattern_[outer_[i]];
+      proven[i].assign(p.preds.size(), false);
+      for (size_t k = 0; k < p.preds.size(); ++k) {
+        proven[i][k] = PathImplied(i, p.preds[k]) ||
+                       ProvenOnAll(reach_[i], p.preds[k]);
+      }
     }
-    if (step.descendant_axis) {
-      for (uint32_t c : ps.children(n)) work.push_back(c);
+    return proven;
+  }
+
+  /// Table cells and nodes visited (work measure).
+  uint64_t visits() const { return visits_; }
+
+ private:
+  int32_t AddPath(const std::vector<XPathStep>& path) {
+    int32_t first = -1;
+    int32_t prev = -1;
+    for (const XPathStep& step : path) {
+      const int32_t id = static_cast<int32_t>(pattern_.size());
+      TagId tid = kInvalidTagId;
+      if (!step.wildcard) {
+        auto r = dict_.Lookup(step.name);
+        if (r.ok()) tid = r.ValueOrDie();
+      }
+      pattern_.push_back(PatternStep{&step, tid, -1, {}});
+      if (prev >= 0) pattern_[prev].next = id;
+      if (first < 0) first = id;
+      prev = id;
+      for (const auto& pred : step.predicates) {
+        const int32_t p = AddPath(pred);
+        pattern_[id].preds.push_back(p);
+      }
+    }
+    return first;
+  }
+
+  uint8_t& Cell(int32_t s, uint32_t node) {
+    return cells_[static_cast<size_t>(s) * n_ + node];
+  }
+
+  bool TagMatches(int32_t s, uint32_t node) const {
+    const PatternStep& p = pattern_[s];
+    return p.step->wildcard || ps_.tag(node) == p.tid;
+  }
+
+  /// Calls `fn` on every node that can pass step `s`'s name test: the
+  /// tag's postings, or every node for a wildcard.
+  template <typename Fn>
+  void ForCandidates(int32_t s, Fn&& fn) {
+    const PatternStep& p = pattern_[s];
+    if (p.step->wildcard) {
+      for (uint32_t n = 1; n < n_; ++n) fn(n);
+    } else if (p.tid != kInvalidTagId) {
+      for (uint32_t n : ps_.Postings(p.tid)) fn(n);
     }
   }
-  return false;
-}
 
-bool PredsSatisfiable(const PathSummary& ps, const TagDict& dict,
-                      uint32_t node, const XPathStep& step) {
-  for (const auto& pred : step.predicates) {
-    if (!ChainBelow(ps, dict, node, pred, 0)) return false;
-  }
-  return true;
-}
-
-/// Summary nodes matching each step of the outermost path. An empty set
-/// at any step proves the answer empty. The first step matches anywhere
-/// (implicit descendant-of-root).
-std::vector<std::vector<uint32_t>> MatchSummary(
-    const PathSummary& ps, const TagDict& dict,
-    const std::vector<XPathStep>& steps) {
-  std::vector<std::vector<uint32_t>> matched(steps.size());
-  for (uint32_t n = 1; n < ps.num_nodes(); ++n) {
-    if (ps.count(n) > 0 && StepTagMatches(ps, n, steps[0], dict) &&
-        PredsSatisfiable(ps, dict, n, steps[0])) {
-      matched[0].push_back(n);
+  /// kSat/kBelow for the path starting at `first`, its predicates first.
+  void Fill(int32_t first) {
+    std::vector<int32_t> path;
+    for (int32_t s = first; s >= 0; s = pattern_[s].next) path.push_back(s);
+    for (auto it = path.rbegin(); it != path.rend(); ++it) {
+      const int32_t s = *it;
+      const PatternStep& p = pattern_[s];
+      for (int32_t q : p.preds) Fill(q);
+      const bool desc = p.step->descendant_axis;
+      ForCandidates(s, [&](uint32_t n) {
+        ++visits_;
+        if (ps_.count(n) == 0) return;
+        bool sat = p.next < 0 || (Cell(p.next, n) & kBelow) != 0;
+        for (size_t k = 0; sat && k < p.preds.size(); ++k) {
+          sat = (Cell(p.preds[k], n) & kBelow) != 0;
+        }
+        if (!sat) return;
+        Cell(s, n) |= kSat;
+        // kBelow on the parent ('/') or on every proper ancestor ('//'),
+        // up to one already marked: its own ancestors are marked too.
+        for (uint32_t a = ps_.parent(n); a != PathSummary::kNoNode;
+             a = ps_.parent(a)) {
+          ++visits_;
+          uint8_t& cell = Cell(s, a);
+          if (desc && (cell & kBelow) != 0) break;
+          cell |= kBelow;
+          if (!desc) break;
+        }
+      });
     }
   }
-  std::vector<uint8_t> prev(ps.num_nodes());
-  for (size_t i = 1; i < steps.size() && !matched[i - 1].empty(); ++i) {
-    const XPathStep& step = steps[i];
-    std::fill(prev.begin(), prev.end(), 0);
-    for (uint32_t n : matched[i - 1]) prev[n] = 1;
-    for (uint32_t n = 1; n < ps.num_nodes(); ++n) {
-      if (ps.count(n) == 0 || !StepTagMatches(ps, n, step, dict)) continue;
-      bool chained = false;
-      for (uint32_t a = ps.parent(n);
-           a != PathSummary::kNoNode && a != PathSummary::kRootNode;
-           a = ps.parent(a)) {
-        if (prev[a]) {
-          chained = true;
+
+  /// True when `node` or one of its ancestors is marked in `fwd`. `up`
+  /// memoizes the answer per node (0 unknown, 1 no, 2 yes), so a pass
+  /// over many nodes walks each ancestor once.
+  bool MarkedAtOrAbove(uint32_t node, const std::vector<uint8_t>& fwd,
+                       std::vector<uint8_t>* up) {
+    std::vector<uint32_t>& path = walk_;
+    path.clear();
+    uint8_t result = 1;
+    for (uint32_t a = node; a != PathSummary::kNoNode; a = ps_.parent(a)) {
+      ++visits_;
+      if ((*up)[a] != 0) {
+        result = (*up)[a];
+        break;
+      }
+      path.push_back(a);
+      if (fwd[a] != 0) {
+        result = 2;
+        break;
+      }
+    }
+    for (uint32_t a : path) (*up)[a] = result;
+    return result == 2;
+  }
+
+  /// The forward sets (reach_: every live node of the step's tag the
+  /// step's pre-predicate set can draw from; fwd: those whose predicates
+  /// are satisfiable) and matched_ = fwd nodes with the rest of the
+  /// pattern below them — the forward and backward passes in one.
+  void MatchOuter() {
+    const size_t k = outer_.size();
+    matched_.assign(k, {});
+    reach_.assign(k, {});
+    std::vector<uint8_t> fwd(n_, 0);
+    std::vector<uint8_t> prev(n_, 0);
+    std::vector<uint8_t> up(n_, 0);
+    for (size_t i = 0; i < k; ++i) {
+      const int32_t s = outer_[i];
+      const PatternStep& p = pattern_[s];
+      const bool desc = p.step->descendant_axis;
+      if (i > 0) {
+        fwd.swap(prev);
+        std::fill(fwd.begin(), fwd.end(), 0);
+        std::fill(up.begin(), up.end(), 0);
+      }
+      ForCandidates(s, [&](uint32_t n) {
+        ++visits_;
+        if (ps_.count(n) == 0) return;
+        // Chained: n's parent ('/') or a proper ancestor ('//') is a step
+        // i-1 forward node.
+        if (i > 0 && !(desc ? MarkedAtOrAbove(ps_.parent(n), prev, &up)
+                            : prev[ps_.parent(n)] != 0)) {
+          return;
+        }
+        reach_[i].push_back(n);
+        for (int32_t q : p.preds) {
+          if ((Cell(q, n) & kBelow) == 0) return;
+        }
+        fwd[n] = 1;
+        if ((Cell(s, n) & kSat) != 0) matched_[i].push_back(n);
+      });
+      if (matched_[i].empty()) return;  // an empty proof
+    }
+  }
+
+  /// Path-implied: predicate `q` of outermost step i holds for every
+  /// step-i element with a step-(i+1) candidate below it, because the
+  /// path from the step-i node down to each such candidate node realizes
+  /// q on the candidate's own ancestors. Only predicate-free predicates
+  /// of at most 63 steps are tried, within a visit budget.
+  bool PathImplied(size_t i, int32_t q) {
+    if (i + 1 >= outer_.size()) return false;
+    std::vector<int32_t> path;
+    for (int32_t s = q; s >= 0; s = pattern_[s].next) {
+      if (!pattern_[s].preds.empty() || path.size() == 63) return false;
+      path.push_back(s);
+    }
+    const uint64_t done = uint64_t{1} << path.size();
+    const int32_t next = outer_[i + 1];
+    const bool next_desc = pattern_[next].step->descendant_axis;
+    size_t budget = 8 * n_ + 1024;
+    struct Frame {
+      uint32_t node;
+      uint64_t at;     // q-prefix lengths matched, last step at this node
+      uint64_t above;  // q-prefix lengths matched at or above this node
+    };
+    std::vector<Frame> work;
+    for (uint32_t n : reach_[i]) {
+      work.push_back(Frame{n, 1, 1});
+      while (!work.empty()) {
+        const Frame f = work.back();
+        work.pop_back();
+        for (uint32_t c : ps_.children(f.node)) {
+          if (budget-- == 0) return false;
+          ++visits_;
+          uint64_t at = 0;
+          for (size_t j = 0; j < path.size(); ++j) {
+            const bool desc = pattern_[path[j]].step->descendant_axis;
+            if (((desc ? f.above : f.at) >> j & 1) != 0 &&
+                TagMatches(path[j], c)) {
+              at |= uint64_t{2} << j;
+            }
+          }
+          const uint64_t above = f.above | at;
+          if (ps_.count(c) > 0 && TagMatches(next, c) && (above & done) == 0) {
+            return false;
+          }
+          if (next_desc) work.push_back(Frame{c, at, above});
+        }
+      }
+    }
+    return true;
+  }
+
+  /// True when predicate `q` is proven on every node of `nodes`.
+  bool ProvenOnAll(const std::vector<uint32_t>& nodes, int32_t q) {
+    for (uint32_t n : nodes) {
+      if (!ProvenBelow(q, n, 0)) return false;
+    }
+    return true;
+  }
+
+  /// True when the edge into `node` is strong, re-proving it if unknown.
+  bool Strong(uint32_t node) {
+    EdgeState s = ps_.edge_state(node);
+    if (s == EdgeState::kUnknown) s = (*reprove_)(node);
+    return s == EdgeState::kStrong;
+  }
+
+  /// Every element on `node` has a child (descendant, for a '//' step)
+  /// reached along strong edges that satisfies step `s`: a kSat node
+  /// proven by ProvenSat.
+  bool ProvenBelow(int32_t s, uint32_t node, int depth) {
+    uint8_t& cell = Cell(s, node);
+    if ((cell & kProvenBelowKnown) != 0) return (cell & kProvenBelow) != 0;
+    bool proven = false;
+    if ((cell & kBelow) != 0 && depth < kMaxProofDepth) {
+      const bool desc = pattern_[s].step->descendant_axis;
+      for (uint32_t c : ps_.children(node)) {
+        ++visits_;
+        const uint8_t cc = Cell(s, c);
+        const bool sat = (cc & kSat) != 0;
+        const bool below = desc && (cc & kBelow) != 0;
+        if ((!sat && !below) || !Strong(c)) continue;
+        if ((sat && ProvenSat(s, c, depth + 1)) ||
+            (below && ProvenBelow(s, c, depth + 1))) {
+          proven = true;
           break;
         }
-        if (!step.descendant_axis) break;
-      }
-      if (chained && PredsSatisfiable(ps, dict, n, step)) {
-        matched[i].push_back(n);
       }
     }
+    Cell(s, node) |= kProvenBelowKnown | (proven ? kProvenBelow : 0);
+    return proven;
   }
-  if (matched.back().empty()) return matched;  // an empty proof
-  // Backward pass: keep a step i-1 node only if a step i match chains
-  // from it (its parent for '/', any proper ancestor for '//').
-  std::vector<uint8_t> chains(ps.num_nodes());
-  for (size_t i = steps.size(); i-- > 1;) {
-    std::fill(chains.begin(), chains.end(), 0);
-    for (uint32_t n : matched[i]) {
-      for (uint32_t a = ps.parent(n);
-           a != PathSummary::kNoNode && a != PathSummary::kRootNode;
-           a = ps.parent(a)) {
-        chains[a] = 1;
-        if (!steps[i].descendant_axis) break;
-      }
+
+  /// Every element on kSat node `node` satisfies step `s`: its
+  /// predicates and the rest of its path are proven below it.
+  bool ProvenSat(int32_t s, uint32_t node, int depth) {
+    const uint8_t cell = Cell(s, node);
+    if ((cell & kProvenSatKnown) != 0) return (cell & kProvenSat) != 0;
+    const PatternStep& p = pattern_[s];
+    bool proven = p.next < 0 || ProvenBelow(p.next, node, depth + 1);
+    for (size_t k = 0; proven && k < p.preds.size(); ++k) {
+      proven = ProvenBelow(p.preds[k], node, depth + 1);
     }
-    std::erase_if(matched[i - 1], [&chains](uint32_t n) { return !chains[n]; });
+    Cell(s, node) |= kProvenSatKnown | (proven ? kProvenSat : 0);
+    return proven;
   }
-  return matched;
-}
+
+  const PathSummary& ps_;
+  const TagDict& dict_;
+  const size_t n_;
+  std::vector<PatternStep> pattern_;
+  std::vector<int32_t> outer_;
+  std::vector<uint8_t> cells_;
+  std::vector<std::vector<uint32_t>> matched_;
+  std::vector<std::vector<uint32_t>> reach_;
+  const Reprove* reprove_ = nullptr;
+  uint64_t visits_ = 0;
+  /// MarkedAtOrAbove's scratch.
+  std::vector<uint32_t> walk_;
+};
 
 // ---------------------------------------------------------------------------
 // Element sets
@@ -414,7 +666,7 @@ struct Evaluator {
   /// path[idx..], predicates included (bottom-up).
   Result<TagSets> Exists(const std::vector<XPathStep>& path, size_t idx) {
     TagSets sets = EveryElement(CandidateTags(path[idx], nullptr));
-    LAZYXML_RETURN_NOT_OK(ApplyPredicates(&sets, path[idx]));
+    LAZYXML_RETURN_NOT_OK(ApplyPredicates(&sets, path[idx], nullptr));
     if (idx + 1 < path.size() && !sets.empty()) {
       LAZYXML_ASSIGN_OR_RETURN(TagSets below, Exists(path, idx + 1));
       for (ElementSet& s : sets) {
@@ -426,12 +678,16 @@ struct Evaluator {
     return sets;
   }
 
-  /// Applies `step`'s predicates to `sets`, most selective first when a
-  /// summary is available (pure existence tests commute, so the order
-  /// only affects how fast the sets shrink).
-  Status ApplyPredicates(TagSets* sets, const XPathStep& step) {
-    std::vector<size_t> order(step.predicates.size());
-    for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+  /// Applies `step`'s predicates to `sets`, skipping those `proven`
+  /// (may be null) marks true, most selective first when a summary is
+  /// available (pure existence tests commute, so the order only affects
+  /// how fast the sets shrink).
+  Status ApplyPredicates(TagSets* sets, const XPathStep& step,
+                         const std::vector<bool>* proven) {
+    std::vector<size_t> order;
+    for (size_t i = 0; i < step.predicates.size(); ++i) {
+      if (proven == nullptr || !(*proven)[i]) order.push_back(i);
+    }
     if (summary != nullptr && order.size() > 1) {
       std::vector<uint64_t> estimate(order.size());
       for (size_t i = 0; i < order.size(); ++i) {
@@ -515,19 +771,67 @@ struct Evaluator {
     return Status::OK();
   }
 
+  /// Re-proves the unknown edge into summary node `node` with one
+  /// parent-child join: strong iff its distinct parents are every
+  /// element of the parent's tag. The state is recorded on every node
+  /// pair of the two tags. A join error leaves the states alone (the
+  /// query fails with it).
+  EdgeState ReproveEdge(uint32_t node) {
+    const TagId parent_tag = summary->tag(summary->parent(node));
+    const TagId child_tag = summary->tag(node);
+    auto pairs = Join(parent_tag, child_tag, /*parent_child=*/true);
+    if (!pairs.ok()) {
+      if (proof_status.ok()) proof_status = pairs.status();
+      return EdgeState::kWeak;
+    }
+    std::vector<LazyElementRef> parents;
+    parents.reserve(pairs.ValueOrDie()->size());
+    for (const LazyJoinPair& p : *pairs.ValueOrDie()) {
+      const LazyElementRef r{p.ancestor_sid, p.ancestor_start};
+      if (parents.empty() || !(parents.back() == r)) parents.push_back(r);
+    }
+    SortRefs(&parents);
+    const EdgeState state = parents.size() == summary->TagCount(parent_tag)
+                                ? EdgeState::kStrong
+                                : EdgeState::kWeak;
+    for (uint32_t m : summary->Postings(parent_tag)) {
+      const uint32_t c = summary->Find(m, child_tag);
+      if (c != PathSummary::kNoNode) summary->SetEdgeState(c, state);
+    }
+    LAZYXML_METRIC_COUNTER(edge_proofs, "summary.edge_proofs_total");
+    edge_proofs.Increment();
+    return state;
+  }
+
+  /// First error of a ReproveEdge join.
+  Status proof_status;
+
+  /// `matched` and `proven` (per outermost step) come from SummaryMatch,
+  /// or are both null.
   Status Run(const std::vector<XPathStep>& steps,
-             const std::vector<std::vector<uint32_t>>* matched, bool global,
+             const std::vector<std::vector<uint32_t>>* matched,
+             const std::vector<std::vector<bool>>* proven, bool global,
              size_t max_rows) {
     const auto match = [matched](size_t i) {
       return matched != nullptr ? &(*matched)[i] : nullptr;
     };
+    const auto proofs = [proven](size_t i) {
+      return proven != nullptr ? &(*proven)[i] : nullptr;
+    };
+    // A step's predicates all proven: its set is as if it had none.
+    const auto unfiltered = [&steps, proven](size_t i) {
+      return steps[i].predicates.empty() ||
+             (proven != nullptr &&
+              std::find((*proven)[i].begin(), (*proven)[i].end(), false) ==
+                  (*proven)[i].end());
+    };
     TagSets cur = EveryElement(CandidateTags(steps[0], match(0)));
-    LAZYXML_RETURN_NOT_OK(ApplyPredicates(&cur, steps[0]));
+    LAZYXML_RETURN_NOT_OK(ApplyPredicates(&cur, steps[0], proofs(0)));
     bool exact = matched != nullptr;
     for (size_t i = 1; i < steps.size() && !cur.empty(); ++i) {
-      exact = exact && steps[i - 1].predicates.empty();
+      exact = exact && unfiltered(i - 1);
       LAZYXML_ASSIGN_OR_RETURN(cur, Forward(cur, steps[i], match(i), exact));
-      LAZYXML_RETURN_NOT_OK(ApplyPredicates(&cur, steps[i]));
+      LAZYXML_RETURN_NOT_OK(ApplyPredicates(&cur, steps[i], proofs(i)));
     }
     if (!global && cur.size() == 1) {
       // One tag: its set is already in reply order, so only the listed
@@ -575,13 +879,17 @@ Result<XPathResult> EvaluateSteps(QueryFacade* db,
   ev.db = db;
   ev.options = options;
   ev.summary = db->path_summary();
-  std::vector<std::vector<uint32_t>> matched;
+  std::optional<SummaryMatch> match;
   if (ev.summary != nullptr) {
-    matched = MatchSummary(*ev.summary, db->tag_dict(), steps);
-    for (const auto& m : matched) {
+    match.emplace(*ev.summary, db->tag_dict());
+    if (!match->Match(steps)) match.reset();
+  }
+  if (match.has_value()) {
+    for (const auto& m : match->matched()) {
       if (!m.empty()) continue;
       // The summary proved the answer empty: no tag list is scanned.
       ev.result.summary_empty = true;
+      ev.result.summary_visits = match->visits();
       LAZYXML_METRIC_COUNTER(pruned_joins, "query.joins_pruned_total");
       pruned_joins.Increment();
       return std::move(ev.result);
@@ -589,9 +897,22 @@ Result<XPathResult> EvaluateSteps(QueryFacade* db,
   }
   // Tag lists are read directly, not only through joins.
   LAZYXML_RETURN_NOT_OK(db->Freeze());
-  LAZYXML_RETURN_NOT_OK(
-      ev.Run(steps, ev.summary != nullptr ? &matched : nullptr, global,
-             max_rows));
+  std::vector<std::vector<bool>> proven;
+  if (match.has_value()) {
+    const SummaryMatch::Reprove reprove = [&ev](uint32_t node) {
+      return ev.ReproveEdge(node);
+    };
+    proven = match->ProvePredicates(reprove);
+    LAZYXML_RETURN_NOT_OK(ev.proof_status);
+    ev.result.summary_visits = match->visits();
+    uint64_t skipped = 0;
+    for (const auto& p : proven) skipped += std::count(p.begin(), p.end(), true);
+    LAZYXML_METRIC_COUNTER(proven_preds, "query.predicates_proven_total");
+    proven_preds.Add(skipped);
+  }
+  LAZYXML_RETURN_NOT_OK(ev.Run(
+      steps, match.has_value() ? &match->matched() : nullptr,
+      match.has_value() ? &proven : nullptr, global, max_rows));
   return std::move(ev.result);
 }
 

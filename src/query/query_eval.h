@@ -30,7 +30,10 @@
 // earlier steps carry no predicate is answered by the summary alone when
 // its matched summary nodes hold every live element of a candidate tag:
 // the step's set for that tag is "every element", and no join runs
-// (docs/PATH_SUMMARY.md has the argument).
+// (docs/PATH_SUMMARY.md has the argument). A predicate the summary
+// proves true for every element of the step (strong edges, re-proved
+// with one join when unknown, or implied by the path below) is skipped
+// and counts as absent here.
 //
 // Listing. Every answer carries its exact count. A caller may ask for
 // only the first N rows; when the answer is "every element" of one tag

@@ -34,6 +34,9 @@
 //    (without a summary: every tag);
 //  * a step after predicate-free steps whose summary match holds every
 //    element of a tag selects all of them without a join;
+//  * a predicate the summary proves true for every element the step's
+//    set can hold (strong edges, or implied by the rest of the path) is
+//    skipped and counts as absent;
 //  * predicates are reordered most-selective-first by the summary's
 //    qualifying counts (pure existence tests commute).
 // The result is byte-identical with and without the summary — pruning
@@ -127,6 +130,10 @@ struct XPathResult {
   /// True when the path summary proved the answer empty before any tag
   /// list was scanned.
   bool summary_empty = false;
+  /// Summary-table cells and nodes visited while matching the pattern
+  /// and proving its predicates (work measure; bounded by a small
+  /// multiple of summary nodes x pattern steps).
+  uint64_t summary_visits = 0;
   /// Aggregated pruning counters from the underlying joins (see
   /// LazyJoinStats).
   uint64_t segments_pruned = 0;

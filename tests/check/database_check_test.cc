@@ -194,6 +194,33 @@ TEST(DatabaseCheckTest, SummaryMissDetected) {
       << report.ValueOrDie().ToString();
 }
 
+TEST(DatabaseCheckTest, FalseStrongEdgeDetected) {
+  LazyDatabase db;
+  ASSERT_TRUE(db.InsertSegment("<r><p><x/></p><p/><q><y/></q></r>", 0).ok());
+  const PathSummary* ps = db.path_summary();
+  ASSERT_NE(ps, nullptr);
+  const TagDict& dict = db.tag_dict();
+  const uint32_t r = ps->Find(PathSummary::kRootNode,
+                              dict.Lookup("r").ValueOrDie());
+  const uint32_t p = ps->Find(r, dict.Lookup("p").ValueOrDie());
+  const uint32_t x = ps->Find(p, dict.Lookup("x").ValueOrDie());
+  const uint32_t q = ps->Find(r, dict.Lookup("q").ValueOrDie());
+  const uint32_t y = ps->Find(q, dict.Lookup("y").ValueOrDie());
+  ASSERT_EQ(ps->edge_state(x), EdgeState::kWeak);
+  ASSERT_EQ(ps->edge_state(y), EdgeState::kStrong);
+  // A state that says less than the truth is conservative, not an error.
+  ps->SetEdgeState(y, EdgeState::kUnknown);
+  auto clean = CheckDatabase(db);
+  ASSERT_TRUE(clean.ok());
+  EXPECT_TRUE(clean.ValueOrDie().ok()) << clean.ValueOrDie().ToString();
+  // The second p has no x: claiming p -> x strong is false.
+  ps->SetEdgeState(x, EdgeState::kStrong);
+  auto report = CheckDatabase(db);
+  ASSERT_TRUE(report.ok());
+  EXPECT_TRUE(report.ValueOrDie().HasCode("false-strong-edge"))
+      << report.ValueOrDie().ToString();
+}
+
 TEST(DatabaseCheckTest, ReportsMultipleFaultsInOnePass) {
   auto db = BuildPopulated();
   UpdateLog& log = db->mutable_update_log();

@@ -93,6 +93,43 @@ TEST(ConcurrentDatabaseTest, ReadersWithConcurrentWriter) {
   EXPECT_EQ(final_join.pairs.size(), 1u);
 }
 
+TEST(ConcurrentDatabaseTest, ReadersReproveEdgesWhileWriterClearsThem) {
+  // Readers run a TWIG whose predicate the summary proves with the strong
+  // edge p -> x, re-proving it with a join whenever it is unknown; the
+  // writer removes and reinserts the second p's x, which clears the
+  // state each time. Every answer is one of the two states' answers.
+  ConcurrentLazyDatabase db;
+  const std::string doc = "<r><p><x/><z/></p><p><x/><z/></p></r>";
+  ASSERT_TRUE(db.InsertSegment(doc, 0).ok());
+  const uint64_t second_x = doc.rfind("<x/>");
+
+  std::atomic<int> failures{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 4; ++t) {
+    readers.emplace_back([&db, &failures] {
+      for (int i = 0; i < 200; ++i) {
+        auto r = testutil::Xpath(db, "p[x]/z", QuerySyntax::kTwig);
+        if (!r.ok()) {
+          ++failures;
+          continue;
+        }
+        const uint64_t count = r.ValueOrDie().count;
+        if (count != 1 && count != 2) ++failures;
+      }
+    });
+  }
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE(db.RemoveSegment(second_x, 4).ok());
+    ASSERT_TRUE(db.InsertSegment("<x/>", second_x).ok());
+  }
+  for (auto& t : readers) t.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_TRUE(db.CheckInvariants().ok());
+  auto last = testutil::Xpath(db, "p[x]/z", QuerySyntax::kTwig);
+  ASSERT_TRUE(last.ok());
+  EXPECT_EQ(last.ValueOrDie().count, 2u);
+}
+
 // The writer-starvation scenario the TicketSharedMutex exists for: an
 // unbounded storm of overlapping readers, and a writer that must finish a
 // fixed batch of updates. Under the previous std::shared_mutex (typically

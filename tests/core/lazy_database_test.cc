@@ -162,6 +162,35 @@ TEST(LazyDatabaseTest, InsertAfterRemovalKeepsJoinsCorrect) {
   EXPECT_TRUE(db.CheckInvariants().ok());
 }
 
+TEST(LazyDatabaseTest, SpliceBetweenTwoRemovedRunsKeepsSiblingOrder) {
+  // A segment spliced where two removed runs of its parent's own text
+  // meet: the runs merge into one gap, and the splice point must not be
+  // left inside it, or a later insert at the same global point is placed
+  // after it in frozen order while it precedes it in the document.
+  LazyDatabase db;
+  std::string shadow;
+  auto insert = [&](std::string_view text, uint64_t gp) {
+    ASSERT_TRUE(db.InsertSegment(text, gp).ok());
+    testutil::SpliceInsert(&shadow, text, gp);
+  };
+  auto remove = [&](uint64_t gp, uint64_t len) {
+    ASSERT_TRUE(db.RemoveSegment(gp, len).ok());
+    testutil::SpliceRemove(&shadow, gp, len);
+  };
+  insert("<r><p><w/></p><p><w/></p></r>", 0);
+  const std::string p = "<p><D/></p>";
+  remove(3, 11);   // the first <p>: own text [3, 14) becomes a gap
+  insert(p, 3);    // spliced at frozen 14, the gap's end
+  remove(14, 11);  // the second <p>: own text [14, 25) joins the gap
+  insert(p, 3);    // before the first splice in document order
+  EXPECT_EQ(shadow, "<r>" + p + p + "</r>");
+  EXPECT_TRUE(db.CheckInvariants().ok());
+  EXPECT_EQ(db.JoinGlobal("p", "D").ValueOrDie(),
+            testutil::OracleJoin(shadow, "p", "D"));
+  EXPECT_EQ(db.JoinGlobal("r", "p").ValueOrDie(),
+            testutil::OracleJoin(shadow, "r", "p"));
+}
+
 TEST(LazyDatabaseTest, ApplyPlanRunsAllInsertions) {
   LazyDatabase db;
   std::vector<SegmentInsertion> plan;

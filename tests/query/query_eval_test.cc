@@ -28,6 +28,7 @@
 #include "common/random.h"
 #include "core/global_converter.h"
 #include "core/lazy_database.h"
+#include "obs/metrics.h"
 #include "tests/query/query_test_util.h"
 #include "tests/query/template_store.h"
 #include "tests/testutil.h"
@@ -73,8 +74,13 @@ TEST(QueryEvalGoldenTest, PerfbenchTemplatesMatchThePriorEvaluators) {
   // TWIG and XPath evaluators on testutil::BuildTemplateStore; both must
   // hold with the path summary on and off. PAIRS and JOINS count the work
   // done, so each run has its own: with the summary on, summary-exact
-  // steps run no join (docs/PATH_SUMMARY.md); with it off, every step
-  // joins, wildcards expand to every tag and nothing is proved empty.
+  // steps run no join and predicates the summary proves true are
+  // skipped (docs/PATH_SUMMARY.md); with it off, every step joins,
+  // wildcards expand to every tag and nothing is proved empty. The
+  // summary-on work depends on the template order: the first template
+  // that needs an unknown edge pays its re-proof join (article/year in
+  // `article[year]/author`, article/author in `//batch/article[author]/
+  // year`, both weak), later ones read the recorded state.
   struct Golden {
     size_t count;
     uint64_t pairs;
@@ -94,17 +100,17 @@ TEST(QueryEvalGoldenTest, PerfbenchTemplatesMatchThePriorEvaluators) {
       {159, 0, 0, 318, 2, 0xb141475e8bd2f19eull},  // PATH open_auction/bidder/personref
       {50, 0, 0, 50, 1, 0x098a387d8a102ca9ull},  // PATH closed_auction/price
       {398, 0, 0, 796, 2, 0x6ab3e3391061671cull},  // PATH person/profile/age
-      {1411, 1809, 2, 1809, 2, 0x9fe56d1726b1b65full},  // TWIG person[profile]//interest
-      {971, 1369, 2, 1369, 2, 0xa36079cddac74f43ull},  // TWIG person[watches]/phone
+      {1411, 0, 0, 1809, 2, 0x9fe56d1726b1b65full},  // TWIG person[profile]//interest
+      {971, 971, 1, 1369, 2, 0xa36079cddac74f43ull},  // TWIG person[watches]/phone
       {78, 259, 2, 259, 2, 0x7a199fbb55053fa3ull},  // TWIG open_auction[bidder]/seller
-      {80, 160, 2, 160, 2, 0x7771374ba5160596ull},  // TWIG item[incategory]/location
-      {398, 1194, 3, 1194, 3, 0x1077715693464125ull},  // TWIG person[address[zipcode]]/emailaddress
-      {50, 100, 2, 100, 2, 0x836d4a4d3d0ec946ull},  // XPATH //closed_auction[buyer]/price
+      {80, 0, 0, 160, 2, 0x7771374ba5160596ull},  // TWIG item[incategory]/location
+      {398, 0, 0, 1194, 3, 0x1077715693464125ull},  // TWIG person[address[zipcode]]/emailaddress
+      {50, 0, 0, 100, 2, 0x836d4a4d3d0ec946ull},  // XPATH //closed_auction[buyer]/price
       {78, 418, 3, 418, 3, 0x9af4693413a15352ull},  // XPATH //open_auction[bidder/personref]/seller
-      {80, 160, 2, 245, 72, 0x0b21a419546a20c6ull},  // XPATH //regions/*/item[incategory]/location
-      {10, 110, 3, 110, 3, 0x7c14852cadd340adull},  // XPATH //category[description/text]/name
+      {80, 0, 0, 245, 72, 0x0b21a419546a20c6ull},  // XPATH //regions/*/item[incategory]/location
+      {10, 10, 1, 110, 3, 0x7c14852cadd340adull},  // XPATH //category[description/text]/name
       {159, 0, 0, 1018, 73, 0xda43b6339b1ea14cull},  // XPATH //open_auction/*/personref
-      {50, 100, 2, 100, 2, 0xed94b81aa5d7f965ull},  // XPATH //closed_auction[buyer]/itemref
+      {50, 50, 1, 100, 2, 0xed94b81aa5d7f965ull},  // XPATH //closed_auction[buyer]/itemref
       {0, 0, 0, 0, 1, 0x14650fb0739d0383ull},  // XPATH //phone//person
       {0, 0, 0, 0, 1, 0x14650fb0739d0383ull},  // XPATH //interest//watch
       {0, 0, 0, 0, 1, 0x14650fb0739d0383ull},  // XPATH //watch/name
@@ -116,12 +122,12 @@ TEST(QueryEvalGoldenTest, PerfbenchTemplatesMatchThePriorEvaluators) {
       {79, 0, 0, 79, 1, 0x1114176c0506edbcull},  // PATH registration//topic
       {398, 0, 0, 796, 2, 0xe738cc5a22ca7884ull},  // PATH person/address/zipcode
       {36, 179, 3, 179, 3, 0x3affd65052d0e4e0ull},  // TWIG registration[preferences/topic]/email
-      {31, 78, 2, 78, 2, 0x61860e97b8e52311ull},  // TWIG article[year]/author
-      {398, 796, 2, 796, 2, 0xdbae5ad6f23d33f1ull},  // TWIG person[watches]/name
+      {31, 109, 3, 78, 2, 0x61860e97b8e52311ull},  // TWIG article[year]/author
+      {398, 398, 1, 796, 2, 0xdbae5ad6f23d33f1ull},  // TWIG person[watches]/name
       {35, 103, 2, 103, 2, 0x1ab7ce9858b14630ull},  // XPATH //registration[phone]/name
-      {21, 78, 2, 122, 3, 0xd81b5878e3a62d62ull},  // XPATH //batch/article[author]/year
+      {21, 125, 3, 122, 3, 0xd81b5878e3a62d62ull},  // XPATH //batch/article[author]/year
       {50, 0, 0, 100, 66, 0xc54ff319b5cc72c5ull},  // XPATH //registrations/*/occupation
-      {398, 1194, 3, 1194, 3, 0xa51b55dcce5dc25dull},  // XPATH //person[profile/business]/emailaddress
+      {398, 0, 0, 1194, 3, 0xa51b55dcce5dc25dull},  // XPATH //person[profile/business]/emailaddress
       {0, 0, 0, 0, 1, 0x14650fb0739d0383ull},  // XPATH //registration//person
       {0, 0, 0, 0, 1, 0x14650fb0739d0383ull},  // XPATH //article//registration
       {0, 0, 0, 0, 1, 0x14650fb0739d0383ull},  // XPATH //topic//phone
@@ -262,6 +268,184 @@ TEST(QueryEvalSummaryExactTest, ListingReadsRunsInSidOrder) {
             .ValueOrDie();
     EXPECT_EQ(global.count, 3u);
     EXPECT_EQ(global.elements.size(), std::min<size_t>(max_rows, 3));
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Summary-proven predicates.
+
+uint64_t EdgeProofs() {
+  return obs::MetricsRegistry::Global()
+      .GetCounter("summary.edge_proofs_total")
+      .Value();
+}
+
+/// State of the edge into the summary node at `path` ("r/p/x").
+EdgeState EdgeInto(const LazyDatabase& db, const std::string& path) {
+  const PathSummary* ps = db.path_summary();
+  EXPECT_NE(ps, nullptr);
+  if (ps == nullptr) return EdgeState::kUnknown;
+  uint32_t node = PathSummary::kRootNode;
+  size_t at = 0;
+  while (at <= path.size()) {
+    const size_t slash = std::min(path.find('/', at), path.size());
+    const TagId tid =
+        db.tag_dict().Lookup(path.substr(at, slash - at)).ValueOrDie();
+    node = ps->Find(node, tid);
+    EXPECT_NE(node, PathSummary::kNoNode) << path;
+    if (node == PathSummary::kNoNode) return EdgeState::kUnknown;
+    at = slash + 1;
+  }
+  return ps->edge_state(node);
+}
+
+XPathResult Twig(LazyDatabase* db, const char* expr) {
+  return testutil::ExpectMatchesNaive(db, QuerySyntax::kTwig, expr);
+}
+
+TEST(QueryEvalSummaryProofTest, StrongEdgeReprovedAfterChoppedLoad) {
+  LazyDatabase db;
+  // The second p receives its x in a later segment, as a chopped load
+  // fills parents after inserting them: the edge p -> x is unknown.
+  const std::string doc = "<r><p><x/><z/></p><p><z/></p></r>";
+  ASSERT_TRUE(db.InsertSegment(doc, 0).ok());
+  ASSERT_EQ(EdgeInto(db, "r/p/x"), EdgeState::kWeak);
+  ASSERT_TRUE(db.InsertSegment("<x/>", doc.find("<z/></p></r>")).ok());
+  db.Freeze();
+  ASSERT_EQ(EdgeInto(db, "r/p/x"), EdgeState::kUnknown);
+  const uint64_t proofs = EdgeProofs();
+  const XPathResult first = Twig(&db, "p[x]/z");
+  EXPECT_EQ(first.count, 2u);
+  EXPECT_EQ(first.joins_executed, 1u);  // the re-proof p/x, nothing else
+  EXPECT_EQ(EdgeProofs(), proofs + 1);
+  EXPECT_EQ(EdgeInto(db, "r/p/x"), EdgeState::kStrong);
+  const XPathResult again = Twig(&db, "p[x]/z");
+  EXPECT_EQ(again.joins_executed, 0u);
+  EXPECT_EQ(again.intermediate_pairs, 0u);
+  EXPECT_EQ(EdgeProofs(), proofs + 1);
+  EXPECT_TRUE(db.CheckInvariants().ok());
+}
+
+TEST(QueryEvalSummaryProofTest, PredicateMustHoldOnEveryNodeOfTheStep) {
+  // Two x nodes: r/a/x, whose every element has a y, and r/b/x, with no
+  // y at all. Both have z children, so dropping [y] because r/a/x -> y
+  // is strong would list b's z too.
+  LazyDatabase db;
+  ASSERT_TRUE(db.InsertSegment("<r><a><x><y/><z/></x></a>"
+                               "<b><x><z/></x></b></r>",
+                               0)
+                  .ok());
+  db.Freeze();
+  ASSERT_EQ(EdgeInto(db, "r/a/x/y"), EdgeState::kStrong);
+  const XPathResult r =
+      testutil::ExpectMatchesNaive(&db, QuerySyntax::kXPath, "//x[y]/z");
+  EXPECT_EQ(r.count, 1u);
+  EXPECT_GT(r.joins_executed, 0u);
+}
+
+TEST(QueryEvalSummaryProofTest, RemovedChildJoinsAgainAndWeakIsNotRetried) {
+  LazyDatabase db;
+  std::string shadow = "<r><p><x/><z/></p><p><x/><z/></p></r>";
+  ASSERT_TRUE(db.InsertSegment(shadow, 0).ok());
+  db.Freeze();
+  EXPECT_EQ(Twig(&db, "p[x]/z").joins_executed, 0u);
+  // Remove the second p's x; its p survives.
+  const size_t second_x = shadow.rfind("<x/>");
+  ASSERT_TRUE(db.RemoveSegment(second_x, 4).ok());
+  testutil::SpliceRemove(&shadow, second_x, 4);
+  db.Freeze();
+  EXPECT_EQ(EdgeInto(db, "r/p/x"), EdgeState::kUnknown);
+  const uint64_t proofs = EdgeProofs();
+  const XPathResult after = Twig(&db, "p[x]/z");
+  EXPECT_EQ(after.count, 1u);
+  // Re-proof p/x (weak now), then the predicate p//x and the step p/z.
+  EXPECT_EQ(after.joins_executed, 3u);
+  EXPECT_EQ(EdgeProofs(), proofs + 1);
+  EXPECT_EQ(EdgeInto(db, "r/p/x"), EdgeState::kWeak);
+  // A weak edge is not retried: the query costs today's joins, no more.
+  for (int i = 0; i < 3; ++i) {
+    const XPathResult r = Twig(&db, "p[x]/z");
+    EXPECT_EQ(r.count, 1u);
+    EXPECT_EQ(r.joins_executed, 2u);
+  }
+  EXPECT_EQ(EdgeProofs(), proofs + 1);
+  EXPECT_TRUE(db.CheckInvariants().ok());
+}
+
+TEST(QueryEvalSummaryProofTest, NewParentWithoutTheChildWeakensTheEdge) {
+  LazyDatabase db;
+  const std::string doc = "<r><p><x/><z/></p></r>";
+  ASSERT_TRUE(db.InsertSegment(doc, 0).ok());
+  db.Freeze();
+  ASSERT_EQ(EdgeInto(db, "r/p/x"), EdgeState::kStrong);
+  EXPECT_EQ(Twig(&db, "p[x]/z").count, 1u);
+  // A whole new p lands under r without an x.
+  ASSERT_TRUE(db.InsertSegment("<p><z/></p>", doc.size() - 4).ok());
+  db.Freeze();
+  EXPECT_EQ(EdgeInto(db, "r/p/x"), EdgeState::kWeak);
+  const uint64_t proofs = EdgeProofs();
+  const XPathResult r = Twig(&db, "p[x]/z");
+  EXPECT_EQ(r.count, 1u);
+  EXPECT_EQ(r.joins_executed, 2u);
+  EXPECT_EQ(EdgeProofs(), proofs);
+  EXPECT_TRUE(db.CheckInvariants().ok());
+}
+
+TEST(QueryEvalSummaryProofTest, PathImpliedPredicateIsDropped) {
+  // One person has no profile, so person -> profile is weak; but every
+  // interest below a person lies on person/profile/interest, so any
+  // person with an interest descendant has a profile.
+  LazyDatabase db;
+  ASSERT_TRUE(db.InsertSegment("<site><person><profile><interest/>"
+                               "<interest/></profile></person>"
+                               "<person><name/></person></site>",
+                               0)
+                  .ok());
+  db.Freeze();
+  ASSERT_EQ(EdgeInto(db, "site/person/profile"), EdgeState::kWeak);
+  const XPathResult r = Twig(&db, "person[profile]//interest");
+  EXPECT_EQ(r.count, 2u);
+  EXPECT_EQ(r.joins_executed, 0u);
+  // Not implied when the step below does not pass through the predicate.
+  const XPathResult name = Twig(&db, "person[profile]/name");
+  EXPECT_EQ(name.count, 0u);
+}
+
+TEST(QueryEvalSummaryProofTest, MatchingWorkIsNodesTimesPatternSteps) {
+  // A chain of nested <a>, with the <b> the pattern ends in either at the
+  // bottom or beside the chain. Matching without a memo tried every way
+  // to place the pattern's steps on the chain, C(depth, steps) of them
+  // when no placement succeeds (1.1 s at depth 32, in Release); with one
+  // table cell per (step, node) the work is bounded by the table.
+  for (int depth : {24, 32, 40}) {
+    for (bool b_below : {true, false}) {
+      SCOPED_TRACE("depth " + std::to_string(depth) +
+                   (b_below ? ", b below" : ", b beside"));
+      std::string doc = "<r>";
+      for (int i = 0; i < depth; ++i) doc += "<a>";
+      if (b_below) doc += "<b/>";
+      for (int i = 0; i < depth; ++i) doc += "</a>";
+      if (!b_below) doc += "<b/>";
+      doc += "</r>";
+      LazyDatabase db;
+      ASSERT_TRUE(db.InsertSegment(doc, 0).ok());
+      db.Freeze();
+      const uint64_t nodes = db.path_summary()->num_nodes();
+      for (const char* expr : {"//a[a//a//a//a//a//a//a//b]",
+                               "//a[*//*//*//*//*//*//*//b]"}) {
+        SCOPED_TRACE(expr);
+        const uint64_t steps = 9;
+        // The naive walk has the same blow-up when nothing matches.
+        const XPathResult r =
+            b_below
+                ? testutil::ExpectMatchesNaive(&db, QuerySyntax::kXPath, expr)
+                : EvaluateQuery(&db, QuerySyntax::kXPath, expr).ValueOrDie();
+        EXPECT_EQ(r.count, b_below ? static_cast<uint64_t>(depth - 7) : 0u);
+        EXPECT_EQ(r.summary_empty, !b_below);
+        EXPECT_GT(r.summary_visits, 0u);
+        EXPECT_LE(r.summary_visits, 16 * nodes * steps);
+      }
+    }
   }
 }
 
