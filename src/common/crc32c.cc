@@ -2,7 +2,10 @@
 
 #include <array>
 
-#if defined(__SSE4_2__)
+// On x86-64 the SSE4.2 path is compiled for that target alone and chosen
+// at run time, so a build for the baseline ISA still uses it.
+#if defined(__x86_64__) && defined(__GNUC__)
+#define LAZYXML_CRC32C_SSE42 1
 #include <nmmintrin.h>
 #endif
 
@@ -53,11 +56,11 @@ uint32_t ExtendSoftware(uint32_t crc, const uint8_t* p, size_t n) {
   return c;
 }
 
-#if defined(__SSE4_2__)
-uint32_t ExtendHardware(uint32_t crc, const uint8_t* p, size_t n) {
-  uint32_t c = crc;
-#if defined(__x86_64__)
-  uint64_t c64 = c;
+#if defined(LAZYXML_CRC32C_SSE42)
+__attribute__((target("sse4.2"))) uint32_t ExtendHardware(uint32_t crc,
+                                                          const uint8_t* p,
+                                                          size_t n) {
+  uint64_t c64 = crc;
   while (n >= 8) {
     uint64_t chunk;
     __builtin_memcpy(&chunk, p, 8);
@@ -65,15 +68,7 @@ uint32_t ExtendHardware(uint32_t crc, const uint8_t* p, size_t n) {
     p += 8;
     n -= 8;
   }
-  c = static_cast<uint32_t>(c64);
-#endif
-  while (n >= 4) {
-    uint32_t chunk;
-    __builtin_memcpy(&chunk, p, 4);
-    c = _mm_crc32_u32(c, chunk);
-    p += 4;
-    n -= 4;
-  }
+  uint32_t c = static_cast<uint32_t>(c64);
   while (n-- > 0) {
     c = _mm_crc32_u8(c, *p++);
   }
@@ -83,14 +78,33 @@ uint32_t ExtendHardware(uint32_t crc, const uint8_t* p, size_t n) {
 
 }  // namespace
 
-uint32_t Extend(uint32_t crc, const void* data, size_t n) {
-  const uint8_t* p = static_cast<const uint8_t*>(data);
-  const uint32_t c = crc ^ 0xffffffffu;
-#if defined(__SSE4_2__)
-  return ExtendHardware(c, p, n) ^ 0xffffffffu;
+bool HardwareAccelerated() {
+#if defined(LAZYXML_CRC32C_SSE42)
+  static const bool supported = [] {
+    __builtin_cpu_init();  // may run before libgcc's own constructor
+    return __builtin_cpu_supports("sse4.2") != 0;
+  }();
+  return supported;
 #else
-  return ExtendSoftware(c, p, n) ^ 0xffffffffu;
+  return false;
 #endif
+}
+
+uint32_t ExtendPortable(uint32_t crc, const void* data, size_t n) {
+  return ExtendSoftware(crc ^ 0xffffffffu, static_cast<const uint8_t*>(data),
+                        n) ^
+         0xffffffffu;
+}
+
+uint32_t Extend(uint32_t crc, const void* data, size_t n) {
+#if defined(LAZYXML_CRC32C_SSE42)
+  if (HardwareAccelerated()) {
+    return ExtendHardware(crc ^ 0xffffffffu,
+                          static_cast<const uint8_t*>(data), n) ^
+           0xffffffffu;
+  }
+#endif
+  return ExtendPortable(crc, data, n);
 }
 
 }  // namespace crc32c

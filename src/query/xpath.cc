@@ -1,6 +1,7 @@
 #include "query/xpath.h"
 
 #include <algorithm>
+#include <map>
 #include <utility>
 
 #include "common/strings.h"
@@ -134,33 +135,49 @@ bool NaiveTagMatches(const TagDict& dict, TagId tid, const XPathStep& step) {
   return step.wildcard || dict.Name(tid) == step.name;
 }
 
-bool NaivePredsHold(const std::vector<NaiveNode>& nodes, const TagDict& dict,
-                    size_t n, const XPathStep& step);
+/// The oracle's predicate walk. Without a memo, asking whether a chain
+/// hangs below a node tries every placement of the remaining steps on
+/// the nodes below it, C(depth, steps) of them when none succeeds; one
+/// cell per (step list, step index, node) bounds it by nodes² × steps.
+class NaiveWalk {
+ public:
+  NaiveWalk(const std::vector<NaiveNode>& nodes, const TagDict& dict)
+      : nodes_(nodes), dict_(dict) {}
 
-/// True when some chain matching steps[idx..] hangs below node `n`.
-bool NaiveChainBelow(const std::vector<NaiveNode>& nodes, const TagDict& dict,
-                     size_t n, const std::vector<XPathStep>& steps,
-                     size_t idx) {
-  if (idx == steps.size()) return true;
-  const XPathStep& step = steps[idx];
-  for (size_t c = n + 1; c < nodes[n].subtree_end; ++c) {
-    if (!step.descendant_axis && nodes[c].parent != n) continue;
-    if (NaiveTagMatches(dict, nodes[c].tid, step) &&
-        NaivePredsHold(nodes, dict, c, step) &&
-        NaiveChainBelow(nodes, dict, c, steps, idx + 1)) {
-      return true;
+  bool PredsHold(size_t n, const XPathStep& step) {
+    for (const auto& pred : step.predicates) {
+      if (!ChainBelow(n, pred, 0)) return false;
     }
+    return true;
   }
-  return false;
-}
 
-bool NaivePredsHold(const std::vector<NaiveNode>& nodes, const TagDict& dict,
-                    size_t n, const XPathStep& step) {
-  for (const auto& pred : step.predicates) {
-    if (!NaiveChainBelow(nodes, dict, n, pred, 0)) return false;
+ private:
+  enum : uint8_t { kUnknown = 0, kNo = 1, kYes = 2 };
+
+  /// True when some chain matching steps[idx..] hangs below node `n`.
+  bool ChainBelow(size_t n, const std::vector<XPathStep>& steps, size_t idx) {
+    if (idx == steps.size()) return true;
+    std::vector<uint8_t>& cells = memo_[{&steps, idx}];
+    if (cells.empty()) cells.assign(nodes_.size(), kUnknown);
+    if (cells[n] != kUnknown) return cells[n] == kYes;
+    const XPathStep& step = steps[idx];
+    bool found = false;
+    for (size_t c = n + 1; c < nodes_[n].subtree_end && !found; ++c) {
+      if (!step.descendant_axis && nodes_[c].parent != n) continue;
+      found = NaiveTagMatches(dict_, nodes_[c].tid, step) &&
+              PredsHold(c, step) && ChainBelow(c, steps, idx + 1);
+    }
+    // std::map insertions by the recursion keep `cells` valid.
+    cells[n] = found ? kYes : kNo;
+    return found;
   }
-  return true;
-}
+
+  const std::vector<NaiveNode>& nodes_;
+  const TagDict& dict_;
+  std::map<std::pair<const std::vector<XPathStep>*, size_t>,
+           std::vector<uint8_t>>
+      memo_;
+};
 
 }  // namespace
 
@@ -263,10 +280,11 @@ Result<std::vector<GlobalElement>> EvaluateXPathNaive(
     }
   }
 
+  NaiveWalk walk(nodes, dict);
   std::vector<uint8_t> cur(nodes.size(), 0);
   for (size_t i = 0; i < nodes.size(); ++i) {
     cur[i] = NaiveTagMatches(dict, nodes[i].tid, steps[0]) &&
-             NaivePredsHold(nodes, dict, i, steps[0]);
+             walk.PredsHold(i, steps[0]);
   }
   for (size_t si = 1; si < steps.size(); ++si) {
     const XPathStep& step = steps[si];
@@ -284,7 +302,7 @@ Result<std::vector<GlobalElement>> EvaluateXPathNaive(
       } else {
         chained = nodes[i].parent != SIZE_MAX && cur[nodes[i].parent];
       }
-      if (chained && NaivePredsHold(nodes, dict, i, step)) next[i] = 1;
+      if (chained && walk.PredsHold(i, step)) next[i] = 1;
     }
     cur.swap(next);
   }

@@ -239,6 +239,15 @@ std::string OkResponse(std::string_view detail, std::string_view body) {
   return out;
 }
 
+char* WriteReplyRow(char* out, uint64_t first, uint64_t second) {
+  constexpr size_t kDigits = 20;  // UINT64_MAX has 20
+  out = std::to_chars(out, out + kDigits, first).ptr;
+  *out++ = ' ';
+  out = std::to_chars(out, out + kDigits, second).ptr;
+  *out++ = '\n';
+  return out;
+}
+
 std::string ErrorResponse(const Status& status) {
   std::string msg = status.message();
   for (char& c : msg) {
@@ -426,16 +435,6 @@ ExecuteOutcome RunCommand(ServerEngine* engine, SessionContext* session,
       const size_t count = xr.count;
       const size_t listed = std::min(session->limits().max_result_elements,
                                      count);
-      const bool global = syntax == QuerySyntax::kXPath;
-      std::string body;
-      for (size_t i = 0; i < listed; ++i) {
-        body += StringPrintf(
-            "%llu %llu\n",
-            static_cast<unsigned long long>(global ? xr.elements[i].start
-                                                   : xr.refs[i].sid),
-            static_cast<unsigned long long>(global ? xr.elements[i].end
-                                                   : xr.refs[i].start));
-      }
       std::string header;
       switch (syntax) {
         case QuerySyntax::kPath:
@@ -459,7 +458,31 @@ ExecuteOutcome RunCommand(ServerEngine* engine, SessionContext* session,
               xr.summary_empty ? 1 : 0, listed);
           break;
       }
-      out.response = OkResponse(header, body);
+      out.response = OkResponse(header);
+      if (listed > 0) {
+        LAZYXML_METRIC_HISTOGRAM(encode_us, "server.reply_encode_us");
+        LAZYXML_METRIC_COUNTER(rows_total, "server.reply_rows_total");
+        obs::ScopedLatency encode_latency(encode_us);
+        // The body rows go straight into the reply, sized once for the
+        // longest rows and trimmed at the end: no per-row string.
+        std::string& reply = out.response;
+        reply.push_back('\n');
+        const size_t body_at = reply.size();
+        reply.resize(body_at + listed * kMaxReplyRowBytes);
+        char* p = reply.data() + body_at;
+        // PATH and TWIG list (sid, start); XPATH lists (start, end).
+        if (syntax == QuerySyntax::kXPath) {
+          for (size_t i = 0; i < listed; ++i) {
+            p = WriteReplyRow(p, xr.elements[i].start, xr.elements[i].end);
+          }
+        } else {
+          for (size_t i = 0; i < listed; ++i) {
+            p = WriteReplyRow(p, xr.refs[i].sid, xr.refs[i].start);
+          }
+        }
+        reply.resize(static_cast<size_t>(p - reply.data()));
+        rows_total.Add(listed);
+      }
       return out;
     }
     case CommandKind::kFreeze: {

@@ -101,6 +101,15 @@ Result<Command> ParseCommand(std::string_view payload,
 std::string OkResponse(std::string_view detail = {},
                        std::string_view body = {});
 
+/// The most bytes WriteReplyRow writes: two 20-digit numbers, a space
+/// and a newline.
+inline constexpr size_t kMaxReplyRowBytes = 42;
+
+/// Writes one listed row of a PATH/TWIG/XPATH reply, "<first> <second>\n"
+/// in minimal base-10 digits (the bytes `%llu %llu\n` prints), at `out`,
+/// which must have kMaxReplyRowBytes of room. Returns one past the row.
+char* WriteReplyRow(char* out, uint64_t first, uint64_t second);
+
 /// Builds a failure response payload: "ERR <Code> <message>" (newlines
 /// in the message flattened so the status line stays one line).
 std::string ErrorResponse(const Status& status);

@@ -216,7 +216,9 @@ struct Server::Connection {
 // Server
 
 Server::Server(ServerEngine* engine, ServerOptions options)
-    : engine_(engine), options_(std::move(options)) {}
+    : engine_(engine),
+      options_(std::move(options)),
+      read_buf_(options_.read_chunk_bytes) {}
 
 Server::~Server() { Stop(); }
 
@@ -507,7 +509,7 @@ void Server::HandleReadable(Connection* conn) {
   LAZYXML_METRIC_COUNTER(bytes_read, "server.bytes_read");
   LAZYXML_METRIC_COUNTER(protocol_errors, "server.protocol_errors");
   if (conn->want_close) return;
-  std::vector<char> buf(options_.read_chunk_bytes);
+  std::vector<char>& buf = read_buf_;
   for (;;) {
     // Respect backpressure even mid-read: once the queue or output
     // buffer is at its bound, leave the rest in the kernel.

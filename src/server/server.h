@@ -208,6 +208,7 @@ class Server {
   bool listeners_closed_ = false;
 
   // Event-loop-thread state.
+  std::vector<char> read_buf_;  ///< read_chunk_bytes, reused by every read
   std::map<uint64_t, std::unique_ptr<Connection>> connections_;
   uint64_t next_conn_id_ = 16;  // ids below 16 tag listeners + wake pipe
   std::atomic<size_t> active_sessions_{0};

@@ -1,6 +1,8 @@
 #include "common/crc32c.h"
 
+#include <iostream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -19,6 +21,45 @@ TEST(Crc32cTest, KnownVectors) {
   // 32 0xff bytes.
   const std::string ones(32, '\xff');
   EXPECT_EQ(crc32c::Value(ones), 0x62a8ab43u);
+}
+
+TEST(Crc32cTest, PortablePathMatchesKnownVectors) {
+  EXPECT_EQ(crc32c::ExtendPortable(0, "123456789", 9), 0xe3069283u);
+  EXPECT_EQ(crc32c::ExtendPortable(0, "", 0), 0u);
+  const std::string zeros(32, '\0');
+  EXPECT_EQ(crc32c::ExtendPortable(0, zeros.data(), zeros.size()),
+            0x8a9136aau);
+  const std::string ones(32, '\xff');
+  EXPECT_EQ(crc32c::ExtendPortable(0, ones.data(), ones.size()), 0x62a8ab43u);
+}
+
+// Extend takes the SSE4.2 path when the CPU has it; it must agree with
+// the table path on every length around its 8-byte steps, on a large
+// buffer, at every misalignment and when extending a prior checksum.
+TEST(Crc32cTest, ExtendMatchesPortablePath) {
+  if (!crc32c::HardwareAccelerated()) {
+    std::cout << "note: no SSE4.2 on this CPU; Extend is the table path\n";
+  }
+  Random rng(19);
+  std::string data;
+  for (size_t i = 0; i < (16u << 10) + 8; ++i) {
+    data.push_back(static_cast<char>(rng.Uniform(256)));
+  }
+  for (size_t offset = 0; offset < 8; ++offset) {
+    std::vector<size_t> lengths;
+    for (size_t len = 0; len <= 70; ++len) lengths.push_back(len);
+    lengths.push_back(16u << 10);
+    for (size_t len : lengths) {
+      const char* p = data.data() + offset;
+      EXPECT_EQ(crc32c::Extend(0, p, len), crc32c::ExtendPortable(0, p, len))
+          << "offset " << offset << " length " << len;
+      const uint32_t prior = static_cast<uint32_t>(rng.Uniform(
+          uint64_t{1} << 32));
+      EXPECT_EQ(crc32c::Extend(prior, p, len),
+                crc32c::ExtendPortable(prior, p, len))
+          << "offset " << offset << " length " << len << " from " << prior;
+    }
+  }
 }
 
 TEST(Crc32cTest, ExtendMatchesWholeBuffer) {

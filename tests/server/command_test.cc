@@ -1,9 +1,14 @@
 #include "server/command.h"
 
+#include <algorithm>
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/strings.h"
+#include "query/xpath.h"
 #include "server/engine.h"
 #include "server/session.h"
 
@@ -149,6 +154,24 @@ TEST(ResponseTest, GarbageStatusLineFails) {
   EXPECT_FALSE(ParseResponse("").ok());
 }
 
+TEST(ResponseTest, ReplyRowMatchesPrintf) {
+  const std::vector<uint64_t> values = {0,  9,  10,
+                                        99, 100, uint64_t{1} << 32,
+                                        UINT64_MAX};
+  for (uint64_t a : values) {
+    for (uint64_t b : values) {
+      char buf[kMaxReplyRowBytes];
+      const char* end = WriteReplyRow(buf, a, b);
+      EXPECT_EQ(std::string(buf, static_cast<size_t>(end - buf)),
+                StringPrintf("%llu %llu\n", static_cast<unsigned long long>(a),
+                             static_cast<unsigned long long>(b)));
+    }
+  }
+  char widest[kMaxReplyRowBytes];
+  EXPECT_EQ(WriteReplyRow(widest, UINT64_MAX, UINT64_MAX) - widest,
+            static_cast<std::ptrdiff_t>(kMaxReplyRowBytes));
+}
+
 // -- Execution against a live in-memory engine -------------------------------
 
 class CommandExecTest : public ::testing::Test {
@@ -253,6 +276,77 @@ TEST_F(CommandExecTest, ResultListingIsCappedButCountExact) {
   int rows = 0;
   for (char c : path.body) rows += c == '\n';
   EXPECT_EQ(rows, 3);
+}
+
+TEST_F(CommandExecTest, ReplyBodiesAreThePrintfRowsOfTheEvaluator) {
+  // Twelve inserted segments, so rows carry multi-digit sids and starts.
+  RunOk("LOAD\n<site><people></people></site>");
+  for (int i = 0; i < 12; ++i) {
+    RunOk("INSERT 14\n<person><name/><phone/></person>");
+  }
+  struct Case {
+    const char* verb;
+    QuerySyntax syntax;
+    const char* expr;
+  };
+  const std::vector<Case> cases = {
+      {"PATH", QuerySyntax::kPath, "site//person"},
+      {"PATH", QuerySyntax::kPath, "person/phone"},
+      {"PATH", QuerySyntax::kPath, "phone//person"},  // empty
+      {"TWIG", QuerySyntax::kTwig, "person[phone]/name"},
+      {"TWIG", QuerySyntax::kTwig, "name/person"},  // empty
+      {"XPATH", QuerySyntax::kXPath, "//person/*"},
+      {"XPATH", QuerySyntax::kXPath, "people/person[name]/phone"},
+      {"XPATH", QuerySyntax::kXPath, "//name/phone"},  // empty
+  };
+  int capped = 0;
+  int empty = 0;
+  for (size_t cap : {size_t{1000}, size_t{5}}) {
+    session_ = std::make_unique<SessionContext>(
+        3, SessionLimits{.max_result_elements = cap});
+    for (const Case& c : cases) {
+      SCOPED_TRACE(std::string(c.verb) + " " + c.expr + ", cap " +
+                   std::to_string(cap));
+      auto r = engine_->db().Query([&](QueryFacade& f) {
+        return EvaluateQuery(&f, c.syntax, c.expr, {}, cap);
+      });
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      const XPathResult& xr = r.ValueOrDie();
+      const size_t listed = std::min(cap, xr.count);
+      // PATH and TWIG rows are "sid start"; XPATH rows are "start end".
+      std::string want;
+      for (size_t i = 0; i < listed; ++i) {
+        const bool global = c.syntax == QuerySyntax::kXPath;
+        want += StringPrintf(
+            "%llu %llu\n",
+            static_cast<unsigned long long>(global ? xr.elements[i].start
+                                                   : xr.refs[i].sid),
+            static_cast<unsigned long long>(global ? xr.elements[i].end
+                                                   : xr.refs[i].start));
+      }
+      const ExecuteOutcome out = Run(std::string(c.verb) + " " + c.expr);
+      ASSERT_FALSE(out.error) << out.response;
+      const std::string status_line =
+          out.response.substr(0, out.response.find('\n'));
+      EXPECT_NE(status_line.find(StringPrintf("COUNT %zu ", xr.count)),
+                std::string::npos)
+          << status_line;
+      EXPECT_NE(status_line.find(StringPrintf("LISTED %zu", listed)),
+                std::string::npos)
+          << status_line;
+      if (listed == 0) {
+        // An empty answer has no body and no newline after the status.
+        EXPECT_EQ(out.response, status_line);
+      } else {
+        EXPECT_EQ(out.response, status_line + "\n" + want);
+      }
+      capped += listed < xr.count;
+      empty += xr.count == 0;
+    }
+  }
+  // The cases cover capped answers (LISTED < COUNT) and empty ones.
+  EXPECT_GE(capped, 3);
+  EXPECT_EQ(empty, 6);
 }
 
 TEST_F(CommandExecTest, XpathQueriesWithPredicatesAndEmptyProof) {
