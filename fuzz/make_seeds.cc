@@ -1,7 +1,7 @@
-// Seed-corpus generator: writes one small, valid input per fuzz target
-// into <out>/{parser,wal,snapshot,ops}/ so the fuzzers start from
-// meaningful bytes instead of noise. Deterministic — CI regenerates the
-// corpus on every run rather than committing binaries.
+// Seed-corpus generator: writes small, valid inputs per fuzz target into
+// <out>/{parser,wal,snapshot,ops,wire,command,xpath,recovery}/ so the
+// fuzzers start from meaningful bytes instead of noise. Deterministic —
+// CI regenerates the corpus on every run rather than committing binaries.
 
 #include <cstdio>
 #include <filesystem>
@@ -43,7 +43,8 @@ int main(int argc, char** argv) {
   namespace fs = std::filesystem;
   const fs::path out(argv[1]);
   for (const char* sub :
-       {"parser", "wal", "snapshot", "ops", "wire", "command", "xpath"}) {
+       {"parser", "wal", "snapshot", "ops", "wire", "command", "xpath",
+        "recovery"}) {
     std::error_code ec;
     fs::create_directories(out / sub, ec);
     if (ec) {
@@ -160,6 +161,38 @@ int main(int argc, char** argv) {
                   "\x05\x06\x27|//a[a//a//a//b]/a");
   ok &= WriteFile(out / "xpath" / "churn-wild.xpath",
                   "\x2c\x0b|//*[*//b]//*");
+
+  // Recovery seeds (see fuzz_recovery.cc): a flags byte (bit 0 = with
+  // snapshot), big-endian u16 lengths of the snapshot and the first WAL
+  // segment, then the snapshot, the first and the second segment.
+  {
+    auto u16 = [](size_t n) {
+      return std::string{static_cast<char>(n >> 8), static_cast<char>(n)};
+    };
+    const std::string first =
+        Frame(LogRecord::InsertSegment(1, "<a><b>x</b></a>", 0)) +
+        Frame(LogRecord::InsertSegment(2, "<c>y</c>", 3));
+    const std::string second = Frame(LogRecord::InsertSegment(3, "<d/>", 0)) +
+                               Frame(LogRecord::RemoveRange(0, 4));
+    const std::string header = std::string(1, '\0') + u16(first.size());
+    ok &= WriteFile(out / "recovery" / "wal-only.bin",
+                    header + first + second);
+    ok &= WriteFile(out / "recovery" / "torn-tail.bin",
+                    header + first + second.substr(0, second.size() - 3));
+    LazyDatabase db;
+    (void)db.InsertSegment("<a><b>x</b></a>", 0);
+    auto blob = SerializeDatabase(db);
+    if (blob.ok()) {
+      const std::string& snapshot = blob.ValueOrDie();
+      const std::string tail =
+          Frame(LogRecord::InsertSegment(2, "<c>y</c>", 3));
+      ok &= WriteFile(out / "recovery" / "snapshot.bin",
+                      std::string(1, '\1') + u16(snapshot.size()) +
+                          u16(tail.size()) + snapshot + tail + second);
+    } else {
+      ok = false;
+    }
+  }
 
   if (!ok) {
     std::fprintf(stderr, "seed generation failed\n");

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <optional>
 #include <sstream>
 #include <tuple>
 #include <vector>
@@ -10,36 +9,22 @@
 #include "check/database_check.h"
 #include "common/file_io.h"
 #include "core/snapshot.h"
+#include "storage/directory_reader.h"
 #include "storage/recovery.h"
 #include "storage/wal_layout.h"
-#include "storage/wal_reader.h"
 
 namespace lazyxml {
 namespace check {
 namespace {
 
-struct DirectoryInventory {
-  std::vector<uint64_t> snapshots;  // ascending
-  std::vector<uint64_t> segments;   // ascending
-  bool directory_exists = false;
-};
-
-Status ScanInventory(const std::string& dir, CheckReport* report,
-                     DirectoryInventory* inv) {
-  if (!FileExists(dir)) {
-    report->AddInfo("storage", "dir-missing",
-                    "database directory does not exist (empty database)");
-    return Status::OK();
-  }
-  inv->directory_exists = true;
-  LAZYXML_ASSIGN_OR_RETURN(std::vector<std::string> names, ListDirectory(dir));
-  for (const std::string& name : names) {
-    report->BumpObjectsScanned();
-    if (auto snap = ParseSnapshotFileName(name)) {
-      inv->snapshots.push_back(*snap);
-    } else if (auto seg = ParseWalSegmentFileName(name)) {
-      inv->segments.push_back(*seg);
-    } else if (name == "quarantine") {
+/// Files the directory inventory: names that are neither snapshots nor
+/// WAL segments.
+void ReportInventory(const DirectoryReader& reader, CheckReport* report) {
+  report->BumpObjectsScanned(reader.snapshots().size() +
+                             reader.segments().size() +
+                             reader.other_files().size());
+  for (const std::string& name : reader.other_files()) {
+    if (name == "quarantine") {
       report->AddInfo("storage", "quarantine-present",
                       "quarantine/ exists: a past salvage moved damage aside");
     } else if (name.size() > 4 &&
@@ -51,144 +36,119 @@ Status ScanInventory(const std::string& dir, CheckReport* report,
                          "unrecognized file in database directory: " + name);
     }
   }
-  std::sort(inv->snapshots.begin(), inv->snapshots.end());
-  std::sort(inv->segments.begin(), inv->segments.end());
   report->BumpChecksRun();
-  return Status::OK();
 }
 
 struct ReplayOutcome {
-  /// The state the directory recovers to; null only when no replay was
-  /// attempted (environmental failure reading a segment).
+  /// The state the directory recovers to.
   std::unique_ptr<LazyDatabase> db;
   /// False when replay stopped on damage or divergence — the db then
   /// holds a prefix (or a partial op) and must not be compared against a
   /// live database or deep-checked as if it were the committed state.
   bool complete = true;
-  uint64_t records_replayed = 0;
+  DirectoryReplay summary;
 };
 
-/// Picks the newest loadable snapshot, verifies the older ones load too,
-/// then replays the contiguous WAL run after the anchor into a scratch
-/// database. Strictly read-only; every anomaly becomes a finding.
+/// Lists `dir` and replays it the way recovery does — base snapshot,
+/// then the chain after it — into a scratch database, and verifies the
+/// snapshots older than the base load too. Strictly read-only; every
+/// anomaly becomes a finding.
 Result<ReplayOutcome> ReplayDirectory(const std::string& dir,
-                                      const DirectoryInventory& inv,
                                       const LazyDatabaseOptions& db_options,
                                       CheckReport* report) {
+  LAZYXML_ASSIGN_OR_RETURN(std::unique_ptr<DirectoryReader> reader,
+                           DirectoryReader::Open(dir));
+  ReportInventory(*reader, report);
   ReplayOutcome out;
-  uint64_t anchor = 0;
-  for (auto it = inv.snapshots.rbegin(); it != inv.snapshots.rend(); ++it) {
-    const std::string path = dir + "/" + SnapshotFileName(*it);
-    auto loaded = LoadSnapshot(path, db_options);
-    report->BumpObjectsScanned();
-    if (loaded.ok()) {
-      if (!out.db) {
-        out.db = std::move(loaded).ValueOrDie();
-        anchor = *it;
-      }
-      continue;
-    }
-    std::ostringstream os;
-    os << SnapshotFileName(*it) << " does not load: "
-       << loaded.status().ToString();
-    if (!out.db) {
-      // Damage on the newest snapshot: recovery would have to fall back.
-      report->AddError("storage", "snapshot-unloadable", os.str());
-    } else {
+  LAZYXML_ASSIGN_OR_RETURN(out.db, reader->LoadBase(db_options));
+  const uint64_t base = reader->base_index();
+  for (const auto& [index, status] : reader->unloadable_snapshots()) {
+    // Damage on the newest snapshot: recovery would have to fall back.
+    report->AddError("storage", "snapshot-unloadable",
+                     SnapshotFileName(index) +
+                         " does not load: " + status.ToString());
+  }
+  for (uint64_t index : reader->snapshots()) {
+    if (index >= base) break;
+    auto loaded = LoadSnapshot(dir + "/" + SnapshotFileName(index),
+                               db_options);
+    if (!loaded.ok()) {
       // An already superseded snapshot; only a fallback would miss it.
-      report->AddWarning("storage", "snapshot-unloadable-old", os.str());
+      report->AddWarning("storage", "snapshot-unloadable-old",
+                         SnapshotFileName(index) + " does not load: " +
+                             loaded.status().ToString());
     }
   }
-  if (!out.db) out.db = std::make_unique<LazyDatabase>(db_options);
   report->BumpChecksRun();
 
-  // The replayable run is the contiguous chain anchor+1, anchor+2, ...
-  std::vector<uint64_t> run;
-  uint64_t expected_next = anchor + 1;
-  for (uint64_t idx : inv.segments) {
-    if (idx <= anchor) {
-      report->AddInfo("storage", "wal-covered-segment",
-                      WalSegmentFileName(idx) +
-                          " is fully covered by a snapshot (checkpoint "
-                          "truncation did not finish)");
-      continue;
-    }
-    if (idx != expected_next) {
+  for (uint64_t idx : reader->segments()) {
+    if (idx > base) break;
+    report->AddInfo("storage", "wal-covered-segment",
+                    WalSegmentFileName(idx) +
+                        " is fully covered by a snapshot (checkpoint "
+                        "truncation did not finish)");
+  }
+  for (uint64_t idx : reader->orphans()) {
+    std::ostringstream os;
+    os << "WAL chain breaks: expected "
+       << WalSegmentFileName(reader->next_segment_index())
+       << " but the next segment on disk is " << WalSegmentFileName(idx);
+    report->AddError("storage", "wal-chain-gap", os.str());
+    report->AddWarning("storage", "wal-unreachable-segment",
+                       WalSegmentFileName(idx) +
+                           " lies beyond a chain gap and cannot be replayed");
+    out.complete = false;
+  }
+  report->BumpChecksRun();
+
+  ChainRecord record;
+  bool diverged = false;
+  for (;;) {
+    LAZYXML_ASSIGN_OR_RETURN(bool more, reader->Next(&record));
+    if (!more) break;
+    report->BumpObjectsScanned();
+    Status applied = ApplyLogRecord(out.db.get(), record.record);
+    if (!applied.ok()) {
       std::ostringstream os;
-      os << "WAL chain breaks: expected " << WalSegmentFileName(expected_next)
-         << " but the next segment on disk is " << WalSegmentFileName(idx);
-      report->AddError("storage", "wal-chain-gap", os.str());
-      report->AddWarning("storage", "wal-unreachable-segment",
-                         WalSegmentFileName(idx) +
-                             " lies beyond a chain gap and cannot be replayed");
+      os << "record at offset " << record.frame_offset << " of "
+         << WalSegmentFileName(record.segment)
+         << " does not replay onto the snapshot state: "
+         << applied.ToString();
+      report->AddError("storage", "wal-replay-divergence", os.str());
+      out.summary.stop_segment = record.segment;
+      out.summary.stop_bytes = record.frame_offset;
       out.complete = false;
-      continue;  // keep reporting every segment past the gap
-    }
-    run.push_back(idx);
-    ++expected_next;
-  }
-  report->BumpChecksRun();
-
-  for (std::size_t pos = 0; pos < run.size(); ++pos) {
-    const uint64_t idx = run[pos];
-    const bool final_segment = pos + 1 == run.size();
-    LAZYXML_ASSIGN_OR_RETURN(
-        std::string data,
-        ReadFileToString(dir + "/" + WalSegmentFileName(idx)));
-    WalSegmentReader reader(data);
-    bool stop_all = false;
-    for (;;) {
-      LogRecord record;
-      Status detail;
-      const WalReadOutcome outcome = reader.Next(&record, &detail);
-      if (outcome == WalReadOutcome::kEnd) break;
-      if (outcome == WalReadOutcome::kTornTail) {
-        std::ostringstream os;
-        os << WalSegmentFileName(idx) << " has a torn tail at offset "
-           << reader.valid_prefix_bytes() << ": " << detail.ToString();
-        if (final_segment) {
-          // The one place an interrupted append can legitimately land.
-          report->AddWarning("storage", "wal-torn-tail", os.str());
-        } else {
-          report->AddError("storage", "wal-torn-mid-chain", os.str());
-        }
-        stop_all = !final_segment;
-        out.complete = final_segment && out.complete;
-        break;
-      }
-      if (outcome == WalReadOutcome::kCorrupt) {
-        std::ostringstream os;
-        os << WalSegmentFileName(idx) << " is corrupt at offset "
-           << reader.valid_prefix_bytes() << ": " << detail.ToString();
-        report->AddError("storage", "wal-corrupt", os.str());
-        stop_all = true;
-        out.complete = false;
-        break;
-      }
-      report->BumpObjectsScanned();
-      Status applied = ApplyLogRecord(out.db.get(), record);
-      if (!applied.ok()) {
-        std::ostringstream os;
-        os << "record " << reader.records_read() << " of "
-           << WalSegmentFileName(idx)
-           << " does not replay onto the snapshot state: "
-           << applied.ToString();
-        report->AddError("storage", "wal-replay-divergence", os.str());
-        stop_all = true;
-        out.complete = false;
-        break;
-      }
-      ++out.records_replayed;
-    }
-    if (stop_all) {
-      for (std::size_t later = pos + 1; later < run.size(); ++later) {
-        report->AddWarning(
-            "storage", "wal-unreachable-segment",
-            WalSegmentFileName(run[later]) +
-                " lies beyond damaged history and cannot be replayed");
-      }
+      diverged = true;
       break;
     }
+    ++out.summary.records_replayed;
+  }
+  const WalStop& stop = reader->stop();
+  if (!diverged && stop.kind != WalStopKind::kCleanEnd) {
+    out.summary.stop_segment = stop.segment;
+    out.summary.stop_bytes = stop.valid_prefix_bytes;
+    const bool torn = stop.kind == WalStopKind::kTornTail;
+    std::ostringstream os;
+    os << WalSegmentFileName(stop.segment)
+       << (torn ? " has a torn tail" : " is corrupt") << " at offset "
+       << stop.valid_prefix_bytes << ": " << stop.detail.ToString();
+    if (torn && stop.final_segment) {
+      // The one place an interrupted append can legitimately land.
+      report->AddWarning("storage", "wal-torn-tail", os.str());
+    } else {
+      report->AddError("storage", torn ? "wal-torn-mid-chain" : "wal-corrupt",
+                       os.str());
+      out.complete = false;
+    }
+  }
+  for (uint64_t idx : reader->chain()) {
+    if (out.summary.stop_segment == 0 || idx <= out.summary.stop_segment) {
+      continue;  // replayed, or no damage cut the chain
+    }
+    report->AddWarning("storage", "wal-unreachable-segment",
+                       WalSegmentFileName(idx) +
+                           " lies beyond damaged history and cannot be "
+                           "replayed");
   }
   report->BumpChecksRun();
   return out;
@@ -385,14 +345,18 @@ void CompareDatabaseStates(const LazyDatabase& expected,
 }
 
 Result<CheckReport> CheckDatabaseDirectory(const std::string& dir,
-                                           const StorageCheckOptions& options) {
+                                           const StorageCheckOptions& options,
+                                           DirectoryReplay* replay_out) {
   CheckReport report;
-  DirectoryInventory inv;
-  LAZYXML_RETURN_NOT_OK(ScanInventory(dir, &report, &inv));
-  if (!inv.directory_exists) return report;
+  if (!FileExists(dir)) {
+    report.AddInfo("storage", "dir-missing",
+                   "database directory does not exist (empty database)");
+    return report;
+  }
   LAZYXML_ASSIGN_OR_RETURN(ReplayOutcome replay,
-                           ReplayDirectory(dir, inv, options.db, &report));
-  if (options.deep_check_replayed_state && replay.db && replay.complete) {
+                           ReplayDirectory(dir, options.db, &report));
+  if (replay_out != nullptr) *replay_out = replay.summary;
+  if (options.deep_check_replayed_state && replay.complete) {
     LAZYXML_ASSIGN_OR_RETURN(CheckReport deep, CheckDatabase(*replay.db));
     report.Merge(deep);
   }
@@ -401,17 +365,15 @@ Result<CheckReport> CheckDatabaseDirectory(const std::string& dir,
 
 Result<CheckReport> CheckDurableDatabase(const DurableLazyDatabase& db) {
   CheckReport report;
-  DirectoryInventory inv;
-  LAZYXML_RETURN_NOT_OK(ScanInventory(db.dir(), &report, &inv));
-  if (!inv.directory_exists) {
+  if (!FileExists(db.dir())) {
     report.AddError("storage", "dir-missing",
                     "live handle's directory vanished: " + db.dir());
     return report;
   }
   LAZYXML_ASSIGN_OR_RETURN(
       ReplayOutcome replay,
-      ReplayDirectory(db.dir(), inv, db.options().db, &report));
-  if (replay.db && replay.complete) {
+      ReplayDirectory(db.dir(), db.options().db, &report));
+  if (replay.complete) {
     CompareDatabaseStates(*replay.db, db.database(), &report);
   } else {
     report.AddError("storage", "state-unverifiable",

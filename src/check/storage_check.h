@@ -11,6 +11,7 @@
 #ifndef LAZYXML_CHECK_STORAGE_CHECK_H_
 #define LAZYXML_CHECK_STORAGE_CHECK_H_
 
+#include <cstdint>
 #include <string>
 
 #include "check/check_report.h"
@@ -39,7 +40,20 @@ struct StorageCheckOptions {
 void CompareDatabaseStates(const LazyDatabase& expected,
                            const LazyDatabase& actual, CheckReport* report);
 
-/// Offline scrub of database directory `dir` without modifying it:
+/// How far a scrub's replay of the WAL chain got.
+struct DirectoryReplay {
+  /// Records applied to the scratch database.
+  uint64_t records_replayed = 0;
+  /// Where replay stopped: the damaged or diverging segment and its
+  /// bytes before the damage or the diverging record's frame. Segment 0
+  /// means the chain replayed to a clean end.
+  uint64_t stop_segment = 0;
+  uint64_t stop_bytes = 0;
+};
+
+/// Offline scrub of database directory `dir` without modifying it. It
+/// reads the directory through storage/directory_reader.h, so by
+/// recovery's rule:
 ///  - file inventory (unknown files, leftover temp files, quarantine),
 ///  - every snapshot must deserialize; the newest one anchors replay,
 ///  - the WAL segment chain after the anchor must be contiguous,
@@ -48,9 +62,11 @@ void CompareDatabaseStates(const LazyDatabase& expected,
 ///  - the decoded records must replay cleanly onto the anchor snapshot,
 ///  - optionally, the replayed state must pass the full in-memory scrub.
 /// The Result is non-OK only for environmental failures (e.g. the
-/// directory is unreadable); damage is reported as findings.
+/// directory is unreadable); damage is reported as findings. When
+/// `replay` is given it receives how far the replay got.
 Result<CheckReport> CheckDatabaseDirectory(
-    const std::string& dir, const StorageCheckOptions& options = {});
+    const std::string& dir, const StorageCheckOptions& options = {},
+    DirectoryReplay* replay = nullptr);
 
 /// WAL/snapshot cross-consistency for a live durable handle: scrubs the
 /// directory (as above), then recovers the on-disk state into a scratch

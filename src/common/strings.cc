@@ -1,5 +1,6 @@
 #include "common/strings.h"
 
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
 
@@ -12,6 +13,17 @@ std::string Join(const std::vector<std::string>& parts, std::string_view sep) {
     out.append(parts[i]);
   }
   return out;
+}
+
+Result<uint64_t> ParseU64(std::string_view token, const char* what) {
+  uint64_t v = 0;
+  const auto [ptr, ec] =
+      std::from_chars(token.data(), token.data() + token.size(), v);
+  if (ec != std::errc() || ptr != token.data() + token.size()) {
+    return Status::InvalidArgument(std::string(what) + " is not a number: '" +
+                                   std::string(token) + "'");
+  }
+  return v;
 }
 
 std::string JoinIds(const std::vector<uint64_t>& ids, std::string_view sep) {

@@ -9,6 +9,8 @@
 #include <string_view>
 #include <vector>
 
+#include "common/result.h"
+
 namespace lazyxml {
 
 /// Joins `parts` with `sep`: Join({"0","1","2"}, ".") == "0.1.2".
@@ -25,6 +27,11 @@ bool StartsWith(std::string_view s, std::string_view prefix);
 
 /// True iff `s` ends with `suffix`.
 bool EndsWith(std::string_view s, std::string_view suffix);
+
+/// Parses all of `token` as a base-10 uint64_t: no sign, no spaces, no
+/// trailing characters, no overflow. `what` names the value in the
+/// InvalidArgument otherwise.
+Result<uint64_t> ParseU64(std::string_view token, const char* what);
 
 /// printf-style formatting into a std::string.
 std::string StringPrintf(const char* format, ...)

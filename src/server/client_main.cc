@@ -19,6 +19,7 @@
 
 #include "common/file_io.h"
 #include "server/client.h"
+#include "server/flags.h"
 
 namespace {
 
@@ -74,40 +75,26 @@ Result<std::string> BodyArg(const std::string& arg) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string unix_path;
-  std::string tcp_host;
-  uint16_t tcp_port = 0;
-  bool use_tcp = false;
-  int i = 1;
-  for (; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--socket" && i + 1 < argc) {
-      unix_path = argv[++i];
-    } else if (arg == "--tcp" && i + 1 < argc) {
-      const std::string hp = argv[++i];
-      const size_t colon = hp.rfind(':');
-      if (colon == std::string::npos) {
-        std::fprintf(stderr, "--tcp wants host:port\n");
-        return 2;
-      }
-      use_tcp = true;
-      tcp_host = hp.substr(0, colon);
-      tcp_port = static_cast<uint16_t>(std::atoi(hp.c_str() + colon + 1));
-    } else if (arg == "--help" || arg == "-h") {
-      Usage(argv[0]);
-      return 0;
-    } else {
-      break;  // start of the command words
-    }
+  auto parsed = lazyxml::server::ParseClientFlags(argc, argv);
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "%s\n", parsed.status().message().c_str());
+    Usage(argv[0]);
+    return 2;
   }
-  if ((unix_path.empty() && !use_tcp) || i >= argc) {
+  const lazyxml::server::ClientFlags& flags = parsed.ValueOrDie();
+  if (flags.help) {
+    Usage(argv[0]);
+    return 0;
+  }
+  int i = flags.command_index;
+  if ((flags.unix_path.empty() && !flags.use_tcp) || i >= argc) {
     Usage(argv[0]);
     return 2;
   }
 
   Result<Client> conn =
-      use_tcp ? Client::ConnectTcpEndpoint(tcp_host, tcp_port)
-              : Client::ConnectUnixEndpoint(unix_path);
+      flags.use_tcp ? Client::ConnectTcpEndpoint(flags.tcp_host, flags.tcp_port)
+                    : Client::ConnectUnixEndpoint(flags.unix_path);
   if (!conn.ok()) {
     std::fprintf(stderr, "connect failed: %s\n",
                  conn.status().ToString().c_str());

@@ -45,17 +45,6 @@ std::vector<std::string_view> Tokens(std::string_view line) {
   return out;
 }
 
-Result<uint64_t> ParseU64(std::string_view token, const char* what) {
-  uint64_t v = 0;
-  const auto [ptr, ec] =
-      std::from_chars(token.data(), token.data() + token.size(), v);
-  if (ec != std::errc() || ptr != token.data() + token.size()) {
-    return Status::InvalidArgument(std::string(what) + " is not a number: '" +
-                                   std::string(token) + "'");
-  }
-  return v;
-}
-
 Status WrongArity(std::string_view verb, const char* usage) {
   return Status::InvalidArgument("usage: " + std::string(usage) +
                                  " (malformed " + std::string(verb) + ")");

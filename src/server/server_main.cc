@@ -9,12 +9,11 @@
 #include <csignal>
 #include <ctime>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "common/logging.h"
 #include "server/engine.h"
+#include "server/flags.h"
 #include "server/server.h"
 
 namespace {
@@ -35,9 +34,10 @@ void Usage(const char* argv0) {
                "  --batch-chunk-ops <n>  split BATCH into n-op chunks so "
                "queries run mid-batch\n"
                "                         (0 = atomic batch)\n"
-               "  --threads <n>          own worker pool of n threads\n"
+               "  --threads <n>          own worker pool of n <= 1024 threads\n"
                "                         (0 = shared process pool)\n"
-               "  --max-connections <n>  session cap (default 256)\n"
+               "  --max-connections <n>  session cap (default 256, at most "
+               "1048576)\n"
                "  --force-poll           use poll(2) even where epoll exists\n"
                "  --deadline-query-ms <n>   query budget (0 = none)\n"
                "  --deadline-update-ms <n>  update budget (0 = none)\n"
@@ -59,108 +59,18 @@ int main(int argc, char** argv) {
   using namespace lazyxml;
   using namespace lazyxml::server;
 
-  ServerOptions options;
-  ServerEngineOptions engine_options;
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto need_value = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s needs a value\n", flag);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--socket") {
-      options.unix_path = need_value("--socket");
-    } else if (arg == "--tcp") {
-      const std::string hp = need_value("--tcp");
-      const size_t colon = hp.rfind(':');
-      if (colon == std::string::npos) {
-        std::fprintf(stderr, "--tcp wants host:port, got '%s'\n", hp.c_str());
-        return 2;
-      }
-      options.tcp = true;
-      options.tcp_host = hp.substr(0, colon);
-      options.tcp_port =
-          static_cast<uint16_t>(std::atoi(hp.c_str() + colon + 1));
-    } else if (arg == "--data-dir") {
-      engine_options.data_dir = need_value("--data-dir");
-    } else if (arg == "--mode") {
-      const std::string mode = need_value("--mode");
-      if (mode == "ld") {
-        engine_options.db.mode = LogMode::kLazyDynamic;
-      } else if (mode == "ls") {
-        engine_options.db.mode = LogMode::kLazyStatic;
-      } else {
-        std::fprintf(stderr, "--mode wants ld or ls, got '%s'\n",
-                     mode.c_str());
-        return 2;
-      }
-    } else if (arg == "--sync") {
-      const std::string sync = need_value("--sync");
-      if (sync == "never") {
-        engine_options.durable.wal.sync_policy = WalSyncPolicy::kNever;
-      } else if (sync == "every-record") {
-        engine_options.durable.wal.sync_policy = WalSyncPolicy::kEveryRecord;
-      } else if (sync == "batch") {
-        engine_options.durable.wal.sync_policy = WalSyncPolicy::kBatchBytes;
-      } else {
-        std::fprintf(stderr,
-                     "--sync wants never|every-record|batch, got '%s'\n",
-                     sync.c_str());
-        return 2;
-      }
-    } else if (arg == "--batch-chunk-ops") {
-      engine_options.batch_chunk_ops = static_cast<size_t>(
-          std::atoll(need_value("--batch-chunk-ops")));
-    } else if (arg == "--threads") {
-      options.num_threads = static_cast<size_t>(
-          std::atoi(need_value("--threads")));
-    } else if (arg == "--max-connections") {
-      options.max_connections = static_cast<size_t>(
-          std::atoi(need_value("--max-connections")));
-    } else if (arg == "--force-poll") {
-      options.force_poll = true;
-    } else if (arg == "--deadline-query-ms") {
-      options.deadline.query_ms = static_cast<uint32_t>(
-          std::atoi(need_value("--deadline-query-ms")));
-    } else if (arg == "--deadline-update-ms") {
-      options.deadline.update_ms = static_cast<uint32_t>(
-          std::atoi(need_value("--deadline-update-ms")));
-    } else if (arg == "--deadline-admin-ms") {
-      options.deadline.admin_ms = static_cast<uint32_t>(
-          std::atoi(need_value("--deadline-admin-ms")));
-    } else if (arg == "--shed-pending") {
-      options.shed_pending_requests = static_cast<size_t>(
-          std::atoll(need_value("--shed-pending")));
-    } else if (arg == "--shed-bytes") {
-      options.shed_buffered_bytes = static_cast<size_t>(
-          std::atoll(need_value("--shed-bytes")));
-    } else if (arg == "--idle-timeout-ms") {
-      options.idle_timeout_ms = static_cast<uint32_t>(
-          std::atoi(need_value("--idle-timeout-ms")));
-    } else if (arg == "--write-stall-ms") {
-      options.write_stall_timeout_ms = static_cast<uint32_t>(
-          std::atoi(need_value("--write-stall-ms")));
-    } else if (arg == "--drain-ms") {
-      options.drain_timeout_ms = static_cast<uint32_t>(
-          std::atoi(need_value("--drain-ms")));
-    } else if (arg == "--help" || arg == "-h") {
-      Usage(argv[0]);
-      return 0;
-    } else {
-      std::fprintf(stderr, "unknown flag '%s'\n", arg.c_str());
-      Usage(argv[0]);
-      return 2;
-    }
-  }
-
-  if (options.unix_path.empty() && !options.tcp) {
-    std::fprintf(stderr, "need --socket and/or --tcp\n");
+  auto parsed = ParseServerFlags(argc, argv);
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "%s\n", parsed.status().message().c_str());
     Usage(argv[0]);
     return 2;
   }
+  if (parsed.ValueOrDie().help) {
+    Usage(argv[0]);
+    return 0;
+  }
+  const ServerOptions options = parsed.ValueOrDie().server;
+  const ServerEngineOptions engine_options = parsed.ValueOrDie().engine;
 
   auto engine = ServerEngine::Open(engine_options);
   if (!engine.ok()) {

@@ -10,7 +10,7 @@ Result<std::unique_ptr<DurableLazyDatabase>> DurableLazyDatabase::Open(
     const std::string& dir, const DurableOptions& options) {
   RecoveryOptions recovery;
   recovery.db = options.db;
-  recovery.strict = options.strict_recovery;
+  recovery.strict = options.open_policy == OpenPolicy::kStrict;
   DamageReport damage;
   std::unique_ptr<LazyDatabase> db;
   RecoveryStats stats;

@@ -43,12 +43,16 @@ namespace lazyxml {
 
 /// How Open treats a damaged directory.
 enum class OpenPolicy {
-  /// Damage (beyond a repairable torn tail) is Corruption; nothing on
-  /// disk is altered beyond the standard tail repair.
+  /// A torn tail of the final WAL segment (an interrupted append) is
+  /// truncated away on disk; any other damage is Corruption.
+  kRepairTornTail,
+  /// Any damage, a torn tail included, is Corruption; nothing on disk
+  /// is altered (deployments that sync every record and want loss
+  /// surfaced rather than truncated away).
   kStrict,
-  /// On Corruption, fall back to salvage (storage/salvage.h): quarantine
-  /// the damage, open the maximal verified prefix, and surface what
-  /// happened in damage_report().
+  /// As kRepairTornTail, but on Corruption fall back to salvage
+  /// (storage/salvage.h): quarantine the damage, open the maximal
+  /// verified prefix, and surface what happened in damage_report().
   kBestEffort,
 };
 
@@ -57,10 +61,7 @@ struct DurableOptions {
   /// from its snapshot.
   LazyDatabaseOptions db;
   WalWriterOptions wal;
-  /// Torn WAL tails become Corruption instead of being truncated away.
-  bool strict_recovery = false;
-  /// Salvage fallback policy; see OpenPolicy.
-  OpenPolicy open_policy = OpenPolicy::kStrict;
+  OpenPolicy open_policy = OpenPolicy::kRepairTornTail;
 };
 
 class DurableLazyDatabase : private UpdateCapture {

@@ -1,5 +1,6 @@
 // Crash recovery: rebuilds a LazyDatabase from a database directory —
-// newest valid snapshot first, then replay of the WAL tail.
+// the newest snapshot that loads, then replay of the WAL chain after it,
+// both read through storage/directory_reader.h.
 //
 // Guarantees:
 //  * Determinism: replaying the captured op stream against the restored
@@ -13,10 +14,10 @@
 //    segment is whole again for the next recovery; damage anywhere else
 //    — or anywhere at all under `strict` — fails with Corruption. Never
 //    UB, never a crash.
-//  * A missing snapshot with no WAL is an empty database, not an error;
-//    a snapshot that exists but will not load is Corruption (recovery
-//    falls back to an older snapshot only when its WAL coverage is
-//    still contiguous on disk).
+//  * A missing snapshot with no WAL is an empty database, not an error.
+//    An unloadable snapshot falls back to the newest older one that
+//    loads; when none loads, that is Corruption. A gap in the WAL chain
+//    after the base is Corruption too.
 
 #ifndef LAZYXML_STORAGE_RECOVERY_H_
 #define LAZYXML_STORAGE_RECOVERY_H_

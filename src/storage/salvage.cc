@@ -1,40 +1,17 @@
 #include "storage/salvage.h"
 
-#include <algorithm>
 #include <sstream>
 #include <vector>
 
 #include "common/file_io.h"
 #include "common/logging.h"
 #include "common/strings.h"
-#include "core/snapshot.h"
+#include "storage/directory_reader.h"
 #include "storage/wal_layout.h"
-#include "storage/wal_reader.h"
 
 namespace lazyxml {
 
 namespace {
-
-struct DirectoryContents {
-  std::vector<uint64_t> wal_segments;  // ascending
-  std::vector<uint64_t> snapshots;     // ascending
-};
-
-Result<DirectoryContents> ScanDirectory(const std::string& dir) {
-  LAZYXML_ASSIGN_OR_RETURN(std::vector<std::string> names,
-                           ListDirectory(dir));
-  DirectoryContents out;
-  for (const std::string& name : names) {
-    if (auto idx = ParseWalSegmentFileName(name)) {
-      out.wal_segments.push_back(*idx);
-    } else if (auto idx = ParseSnapshotFileName(name)) {
-      out.snapshots.push_back(*idx);
-    }
-  }
-  std::sort(out.wal_segments.begin(), out.wal_segments.end());
-  std::sort(out.snapshots.begin(), out.snapshots.end());
-  return out;
-}
 
 std::string JsonEscape(std::string_view in) {
   std::string out;
@@ -61,29 +38,35 @@ std::string JsonEscape(std::string_view in) {
   return out;
 }
 
-/// Moves `<dir>/<name>` into the quarantine subdirectory under a
-/// collision-safe name; returns the name used (relative to quarantine/).
-Result<std::string> Quarantine(const std::string& dir,
-                               const std::string& name,
-                               DamageReport* damage) {
+/// Moves `a.file` into the quarantine subdirectory under a
+/// collision-safe name and files `a` in the report.
+Status Quarantine(const std::string& dir, DamagedArtifact a,
+                  DamageReport* damage) {
   const std::string qdir = dir + "/quarantine";
   LAZYXML_RETURN_NOT_OK(CreateDirIfMissing(qdir));
   damage->quarantine_dir = qdir;
-  std::string target = name;
-  for (int attempt = 1; FileExists(qdir + "/" + target); ++attempt) {
-    target = name + "." + std::to_string(attempt);
+  a.quarantined_as = a.file;
+  for (int attempt = 1; FileExists(qdir + "/" + a.quarantined_as);
+       ++attempt) {
+    a.quarantined_as = a.file + "." + std::to_string(attempt);
   }
-  LAZYXML_RETURN_NOT_OK(RenameFile(dir + "/" + name, qdir + "/" + target));
-  return target;
+  LAZYXML_RETURN_NOT_OK(
+      RenameFile(dir + "/" + a.file, qdir + "/" + a.quarantined_as));
+  damage->artifacts.push_back(std::move(a));
+  return Status::OK();
 }
 
-/// One decoded, not-yet-applied WAL record with its provenance.
-struct PendingRecord {
-  LogRecord record;
-  uint64_t segment = 0;
-  uint64_t frame_begin = 0;  // byte offset of the record's frame
-  uint64_t frame_end = 0;    // one past the frame
-};
+/// Quarantines all of `<dir>/<name>`: every byte of it is dropped.
+Status QuarantineWholeFile(const std::string& dir, const std::string& name,
+                           std::string reason, std::string detail,
+                           DamageReport* damage) {
+  DamagedArtifact a;
+  a.file = name;
+  a.reason = std::move(reason);
+  a.detail = std::move(detail);
+  a.dropped_bytes = FileSize(dir + "/" + name).ValueOr(0);
+  return Quarantine(dir, std::move(a), damage);
+}
 
 }  // namespace
 
@@ -129,216 +112,112 @@ std::string DamageReport::ToJson() const {
 Result<SalvageResult> SalvageDatabase(const std::string& dir,
                                       const RecoveryOptions& options) {
   LAZYXML_RETURN_NOT_OK(CreateDirIfMissing(dir));
-  LAZYXML_ASSIGN_OR_RETURN(DirectoryContents contents, ScanDirectory(dir));
+  LAZYXML_ASSIGN_OR_RETURN(std::unique_ptr<DirectoryReader> reader,
+                           DirectoryReader::Open(dir));
 
   SalvageResult out;
 
-  // ---- 1. Base snapshot: newest that loads; quarantine the rest ----------
-  uint64_t snap_index = 0;
-  for (size_t i = contents.snapshots.size(); i-- > 0;) {
-    const uint64_t index = contents.snapshots[i];
-    const std::string name = SnapshotFileName(index);
-    auto loaded = LoadSnapshot(dir + "/" + name, options.db);
-    if (loaded.ok()) {
-      out.db = std::move(loaded).ValueOrDie();
-      snap_index = index;
-      break;
-    }
-    const uint64_t size =
-        FileSize(dir + "/" + name).ValueOr(0);
-    LAZYXML_ASSIGN_OR_RETURN(std::string qname,
-                             Quarantine(dir, name, &out.damage));
-    DamagedArtifact a;
-    a.file = name;
-    a.quarantined_as = qname;
-    a.reason = "snapshot-unloadable";
-    a.detail = loaded.status().ToString();
-    a.dropped_bytes = size;
-    out.damage.artifacts.push_back(std::move(a));
-    LAZYXML_LOG(Warning) << "salvage: snapshot " << index
-                         << " quarantined: " << loaded.status().ToString();
-  }
-  if (out.db == nullptr) {
-    out.db = std::make_unique<LazyDatabase>(options.db);
-  }
+  // ---- 1. Base: newest snapshot that loads; quarantine newer ones --------
+  LAZYXML_ASSIGN_OR_RETURN(out.db, reader->LoadBase(options.db));
+  const uint64_t snap_index = reader->base_index();
   out.stats.snapshot_index = snap_index;
-
-  // ---- 2. The replayable run: contiguous segments after the base ---------
-  // Segments <= snap_index are legitimately stale (checkpoint leftovers)
-  // and ignored, exactly as in normal recovery. Segments past a numbering
-  // gap can never be replayed (their predecessors are gone) and are
-  // quarantined as orphaned.
-  std::vector<uint64_t> run;
-  uint64_t expected = snap_index + 1;
-  for (uint64_t seg : contents.wal_segments) {
-    if (seg <= snap_index) continue;
-    if (seg == expected) {
-      run.push_back(seg);
-      ++expected;
-    } else {
-      const std::string name = WalSegmentFileName(seg);
-      const uint64_t size = FileSize(dir + "/" + name).ValueOr(0);
-      LAZYXML_ASSIGN_OR_RETURN(std::string qname,
-                               Quarantine(dir, name, &out.damage));
-      DamagedArtifact a;
-      a.file = name;
-      a.quarantined_as = qname;
-      a.reason = "wal-orphaned";
-      a.detail = StringPrintf(
-          "segment %llu follows a gap in the chain (expected %llu)",
-          static_cast<unsigned long long>(seg),
-          static_cast<unsigned long long>(expected));
-      a.dropped_bytes = size;
-      out.damage.artifacts.push_back(std::move(a));
-    }
+  for (const auto& [index, status] : reader->unloadable_snapshots()) {
+    LAZYXML_RETURN_NOT_OK(QuarantineWholeFile(dir, SnapshotFileName(index),
+                                              "snapshot-unloadable",
+                                              status.ToString(), &out.damage));
+    LAZYXML_LOG(Warning) << "salvage: snapshot " << index
+                         << " quarantined: " << status.ToString();
   }
 
-  // ---- 3. Decode the run up to the first damaged frame -------------------
-  // Decoding is separated from application so a replay divergence can cut
-  // the history at a *record* boundary and rebuild without re-reading
-  // damaged bytes.
-  std::vector<PendingRecord> pending;
-  std::vector<std::string> segment_data(run.size());
-  size_t cut_run_pos = run.size();  // first run position NOT fully kept
-  uint64_t cut_offset = 0;          // verified prefix of that segment
-  std::string cut_reason;
-  std::string cut_detail;
-  for (size_t ri = 0; ri < run.size(); ++ri) {
-    const uint64_t seg = run[ri];
-    LAZYXML_ASSIGN_OR_RETURN(
-        segment_data[ri],
-        ReadFileToString(dir + "/" + WalSegmentFileName(seg)));
-    WalSegmentReader reader(segment_data[ri]);
-    LogRecord record;
-    Status detail;
-    bool damaged = false;
-    for (;;) {
-      const uint64_t before = reader.valid_prefix_bytes();
-      const WalReadOutcome outcome = reader.Next(&record, &detail);
-      if (outcome == WalReadOutcome::kEnd) break;
-      if (outcome == WalReadOutcome::kRecord) {
-        PendingRecord p;
-        p.record = std::move(record);
-        p.segment = seg;
-        p.frame_begin = before;
-        p.frame_end = reader.valid_prefix_bytes();
-        pending.push_back(std::move(p));
-        continue;
-      }
-      // Torn or corrupt: the history ends here.
-      cut_run_pos = ri;
-      cut_offset = reader.valid_prefix_bytes();
-      cut_reason =
-          outcome == WalReadOutcome::kTornTail ? "wal-torn" : "wal-corrupt";
-      cut_detail = detail.ToString();
-      damaged = true;
-      break;
-    }
-    if (damaged) break;
+  // ---- 2. Segments past a gap in the chain can never be replayed ---------
+  const std::vector<uint64_t>& chain = reader->chain();
+  for (uint64_t seg : reader->orphans()) {
+    LAZYXML_RETURN_NOT_OK(QuarantineWholeFile(
+        dir, WalSegmentFileName(seg), "wal-orphaned",
+        StringPrintf("segment %llu follows a gap in the chain (expected %llu)",
+                     static_cast<unsigned long long>(seg),
+                     static_cast<unsigned long long>(
+                         reader->next_segment_index())),
+        &out.damage));
   }
 
-  // ---- 4. Apply the decoded records; a divergence also cuts --------------
-  size_t applied = 0;
-  for (; applied < pending.size(); ++applied) {
-    Status s = ApplyLogRecord(out.db.get(), pending[applied].record);
-    if (s.ok()) continue;
-    // The history is cut at this record. The database may hold a partial
-    // effect of the failed op (e.g. an insert that produced an unexpected
-    // sid), so rebuild cleanly: reload the base and re-apply the verified
-    // prefix, which is deterministic.
-    const PendingRecord& bad = pending[applied];
-    const size_t bad_run_pos = static_cast<size_t>(
-        std::lower_bound(run.begin(), run.end(), bad.segment) - run.begin());
-    if (bad_run_pos < cut_run_pos ||
-        (bad_run_pos == cut_run_pos && bad.frame_begin < cut_offset)) {
-      cut_run_pos = bad_run_pos;
-      cut_offset = bad.frame_begin;
-      cut_reason = "wal-diverged";
-      cut_detail = s.ToString();
+  // ---- 3. Replay the chain; the first damaged or diverging record cuts ---
+  uint64_t applied = 0;
+  uint64_t cut_segment = 0;  // 0 = no cut
+  DamagedArtifact cut;
+  ChainRecord record;
+  for (;;) {
+    LAZYXML_ASSIGN_OR_RETURN(bool more, reader->Next(&record));
+    if (!more) break;
+    if (cut_segment != 0) {
+      ++cut.dropped_records;  // past the divergence: counted, not applied
+      continue;
     }
-    if (snap_index != 0) {
-      auto reloaded = LoadSnapshot(
-          dir + "/" + SnapshotFileName(snap_index), options.db);
-      if (!reloaded.ok()) {
-        return reloaded.status().WithContext(
-            "salvage: base snapshot vanished during rebuild");
+    Status s = ApplyLogRecord(out.db.get(), record.record);
+    if (s.ok()) {
+      ++applied;
+      continue;
+    }
+    cut_segment = record.segment;
+    cut.reason = "wal-diverged";
+    cut.detail = s.ToString();
+    cut.kept_bytes = record.frame_offset;
+    cut.dropped_records = 1;
+  }
+  const WalStop& stop = reader->stop();
+  if (cut_segment != 0) {
+    // The database may hold a partial effect of the failed op (e.g. an
+    // insert that produced an unexpected sid), so rebuild cleanly: reload
+    // the base and re-apply the verified prefix, which is deterministic.
+    LAZYXML_ASSIGN_OR_RETURN(out.db, reader->LoadBase(options.db));
+    for (uint64_t k = 0; k < applied; ++k) {
+      LAZYXML_ASSIGN_OR_RETURN(bool more, reader->Next(&record));
+      if (!more) {
+        return Status::Corruption("salvage: verified prefix vanished");
       }
-      out.db = std::move(reloaded).ValueOrDie();
-    } else {
-      out.db = std::make_unique<LazyDatabase>(options.db);
-    }
-    for (size_t k = 0; k < applied; ++k) {
       LAZYXML_RETURN_NOT_OK(
-          ApplyLogRecord(out.db.get(), pending[k].record)
+          ApplyLogRecord(out.db.get(), record.record)
               .WithContext("salvage: verified prefix failed to re-apply"));
     }
-    break;
+  } else if (stop.kind != WalStopKind::kCleanEnd) {
+    cut_segment = stop.segment;
+    cut.reason =
+        stop.kind == WalStopKind::kTornTail ? "wal-torn" : "wal-corrupt";
+    cut.detail = stop.detail.ToString();
+    cut.kept_bytes = stop.valid_prefix_bytes;
   }
   out.damage.records_recovered = applied;
   out.stats.records_replayed = applied;
+  out.stats.segments_replayed = chain.size();
+  out.next_wal_index = reader->next_segment_index();
 
-  // ---- 5. Prune the damaged segment and quarantine the rest --------------
-  if (cut_run_pos < run.size()) {
-    // Count what the cut drops.
-    uint64_t dropped_records = 0;
-    for (const PendingRecord& p : pending) {
-      const size_t pos = static_cast<size_t>(
-          std::lower_bound(run.begin(), run.end(), p.segment) - run.begin());
-      if (pos > cut_run_pos ||
-          (pos == cut_run_pos && p.frame_begin >= cut_offset)) {
-        ++dropped_records;
-      }
-    }
-    // Records decoded cleanly before an intra-segment tear but after the
-    // divergence point are included above; bytes past the verified prefix
-    // of the cut segment are dropped too.
-    const uint64_t seg = run[cut_run_pos];
-    const std::string name = WalSegmentFileName(seg);
-    const uint64_t total = segment_data[cut_run_pos].size();
-    LAZYXML_ASSIGN_OR_RETURN(std::string qname,
-                             Quarantine(dir, name, &out.damage));
+  // ---- 4. Prune the cut segment and quarantine the rest of the chain -----
+  if (cut_segment != 0) {
+    cut.file = WalSegmentFileName(cut_segment);
+    LAZYXML_ASSIGN_OR_RETURN(std::string data,
+                             ReadFileToString(dir + "/" + cut.file));
+    cut.dropped_bytes = data.size() - cut.kept_bytes;
+    out.damage.records_dropped = cut.dropped_records;
+    LAZYXML_RETURN_NOT_OK(Quarantine(dir, cut, &out.damage));
     // Write the verified prefix back (possibly empty): the chain stays
     // contiguous and the next open sees a clean segment.
-    LAZYXML_RETURN_NOT_OK(WriteFileAtomic(
-        dir + "/" + name, std::string_view(segment_data[cut_run_pos])
-                              .substr(0, cut_offset)));
-    DamagedArtifact a;
-    a.file = name;
-    a.quarantined_as = qname;
-    a.reason = cut_reason;
-    a.detail = cut_detail;
-    a.kept_bytes = cut_offset;
-    a.dropped_bytes = total - cut_offset;
-    a.dropped_records = dropped_records;
-    out.damage.artifacts.push_back(std::move(a));
-    out.damage.records_dropped += dropped_records;
+    LAZYXML_RETURN_NOT_OK(
+        WriteFileAtomic(dir + "/" + cut.file,
+                        std::string_view(data).substr(0, cut.kept_bytes)));
     // Later segments are beyond the cut: unreachable history.
-    for (size_t ri = cut_run_pos + 1; ri < run.size(); ++ri) {
-      const std::string later = WalSegmentFileName(run[ri]);
-      const uint64_t size = FileSize(dir + "/" + later).ValueOr(0);
-      // Count records we may have decoded from it (or not, if decode
-      // stopped earlier) — decoded ones are already in dropped_records.
-      LAZYXML_ASSIGN_OR_RETURN(std::string later_q,
-                               Quarantine(dir, later, &out.damage));
-      DamagedArtifact la;
-      la.file = later;
-      la.quarantined_as = later_q;
-      la.reason = "wal-unreachable";
-      la.detail = StringPrintf(
-          "history cut in segment %llu",
-          static_cast<unsigned long long>(seg));
-      la.dropped_bytes = size;
-      out.damage.artifacts.push_back(std::move(la));
+    for (uint64_t seg : chain) {
+      if (seg <= cut_segment) continue;
+      LAZYXML_RETURN_NOT_OK(QuarantineWholeFile(
+          dir, WalSegmentFileName(seg), "wal-unreachable",
+          StringPrintf("history cut in segment %llu",
+                       static_cast<unsigned long long>(cut_segment)),
+          &out.damage));
     }
-    out.next_wal_index = seg + 1;
+    out.next_wal_index = cut_segment + 1;
     out.stats.torn_tail = true;
-    out.stats.torn_segment = seg;
-    out.stats.valid_prefix_bytes = cut_offset;
-    out.stats.segments_replayed = cut_run_pos + 1;
-  } else {
-    out.next_wal_index =
-        std::max(run.empty() ? 0 : run.back(), snap_index) + 1;
-    out.stats.segments_replayed = run.size();
+    out.stats.torn_segment = cut_segment;
+    out.stats.valid_prefix_bytes = cut.kept_bytes;
+    out.stats.segments_replayed = cut_segment - snap_index;
   }
 
   LAZYXML_RETURN_NOT_OK(out.db->CheckInvariants().WithContext(

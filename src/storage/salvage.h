@@ -6,14 +6,19 @@
 //
 //  1. the newest snapshot that loads is the base; unloadable newer
 //     snapshots are quarantined;
-//  2. the contiguous WAL run after the base is replayed record by record;
-//     the first damaged or diverging frame cuts the history there — the
+//  2. the contiguous WAL chain after the base is replayed record by
+//     record; segments past a gap in it are quarantined as orphaned. The
+//     first damaged or diverging frame cuts the history there — the
 //     damaged segment is quarantined, its verified prefix is written back
 //     in place (possibly as an empty file, keeping the segment chain
 //     contiguous for the next open), and every later segment is
 //     quarantined as unreachable;
 //  3. the outcome is described by a machine-readable DamageReport rather
 //     than a refusal or a silent truncation.
+//
+// Base and chain come from storage/directory_reader.h, the reader
+// recovery and the scrubber use, so the cut is where the scrubber's
+// replay stops.
 //
 // Quarantined files move into `<dir>/quarantine/` (collision-safe names),
 // so no byte of the damaged store is destroyed — a deeper forensic pass

@@ -15,7 +15,11 @@ std::optional<uint64_t> ParseIndexed(std::string_view name,
   if (name.substr(name.size() - suffix.size()) != suffix) return std::nullopt;
   const std::string_view digits =
       name.substr(prefix.size(), name.size() - prefix.size() - suffix.size());
-  if (digits.empty() || digits.size() > 19) return std::nullopt;
+  // Only the canonical "%06llu" spelling names the file readers open.
+  if (digits.size() < 6 || digits.size() > 19 ||
+      (digits.size() > 6 && digits[0] == '0')) {
+    return std::nullopt;
+  }
   uint64_t value = 0;
   for (char c : digits) {
     if (c < '0' || c > '9') return std::nullopt;

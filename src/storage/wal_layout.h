@@ -36,7 +36,8 @@ std::string WalSegmentFileName(uint64_t index);
 /// "snapshot-000007.bin" for index 7.
 std::string SnapshotFileName(uint64_t index);
 
-/// Parses a WAL segment file name; nullopt if `name` is not one.
+/// Parses a WAL segment file name; nullopt if `name` is not one in the
+/// canonical spelling WalSegmentFileName produces ("wal-7.log" is not).
 std::optional<uint64_t> ParseWalSegmentFileName(std::string_view name);
 
 /// Parses a snapshot file name; nullopt if `name` is not one.

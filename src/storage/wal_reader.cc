@@ -72,7 +72,6 @@ WalReadOutcome WalSegmentReader::Next(LogRecord* record, Status* detail) {
   }
   *record = std::move(decoded).ValueOrDie();
   pos_ += kWalFrameHeaderBytes + length;
-  ++records_read_;
   return WalReadOutcome::kRecord;
 }
 

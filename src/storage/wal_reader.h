@@ -47,13 +47,9 @@ class WalSegmentReader {
   /// Offset one past the last cleanly decoded frame.
   uint64_t valid_prefix_bytes() const { return pos_; }
 
-  /// Records decoded so far.
-  uint64_t records_read() const { return records_read_; }
-
  private:
   std::string_view data_;
   uint64_t pos_ = 0;
-  uint64_t records_read_ = 0;
 };
 
 }  // namespace lazyxml

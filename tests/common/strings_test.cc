@@ -40,6 +40,19 @@ TEST(StringsTest, StartsEndsWith) {
   EXPECT_TRUE(EndsWith("x", ""));
 }
 
+TEST(StringsTest, ParseU64) {
+  EXPECT_EQ(ParseU64("0", "n").ValueOrDie(), 0u);
+  EXPECT_EQ(ParseU64("18446744073709551615", "n").ValueOrDie(),
+            18446744073709551615ull);
+  for (const char* bad : {"", "-1", "+1", " 1", "1 ", "4x", "abc",
+                          "18446744073709551616"}) {
+    auto r = ParseU64(bad, "count");
+    ASSERT_FALSE(r.ok()) << bad;
+    EXPECT_TRUE(r.status().IsInvalidArgument()) << bad;
+    EXPECT_NE(r.status().message().find("count"), std::string::npos);
+  }
+}
+
 TEST(StringsTest, StringPrintf) {
   EXPECT_EQ(StringPrintf("n=%d s=%s", 5, "x"), "n=5 s=x");
   EXPECT_EQ(StringPrintf("%s", ""), "");

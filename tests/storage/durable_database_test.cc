@@ -164,7 +164,7 @@ TEST(DurableDatabaseTest, TornTailOnReopenIsTruncatedAway) {
   // Strict deployments see the damage as an error (checked first: strict
   // recovery never repairs).
   DurableOptions strict;
-  strict.strict_recovery = true;
+  strict.open_policy = OpenPolicy::kStrict;
   auto failed = DurableLazyDatabase::Open(dir, strict);
   ASSERT_FALSE(failed.ok());
   EXPECT_TRUE(failed.status().IsCorruption());

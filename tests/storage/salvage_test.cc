@@ -231,10 +231,11 @@ TEST(SalvageTest, BestEffortOpenFallsBackToSalvage) {
   data.resize(data.size() - 3);
   ASSERT_TRUE(WriteFileAtomic(path, data).ok());
 
-  // Strict (default) refuses and leaves the damage in place.
-  auto strict = DurableLazyDatabase::Open(dir);
-  ASSERT_FALSE(strict.ok());
-  EXPECT_TRUE(strict.status().IsCorruption());
+  // The default policy (kRepairTornTail) refuses mid-chain damage and
+  // leaves it in place.
+  auto refused = DurableLazyDatabase::Open(dir);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_TRUE(refused.status().IsCorruption());
   EXPECT_TRUE(FileExists(dir + "/" + WalSegmentFileName(2)));
 
   DurableOptions options;
@@ -246,7 +247,7 @@ TEST(SalvageTest, BestEffortOpenFallsBackToSalvage) {
   EXPECT_EQ(db.damage_report().records_recovered, split - 1);
 
   // The salvaged handle accepts updates and the directory reopens
-  // cleanly afterwards — strict this time.
+  // cleanly afterwards — under the default policy this time.
   const uint64_t doc_len = db.database().Stats().super_document_length;
   ASSERT_TRUE(db.InsertSegment("<zz>q</zz>", doc_len).ok());
   ASSERT_TRUE(db.Sync().ok());
